@@ -22,13 +22,11 @@ from .discrepancy import estimate_discrepancy
 from .energy import DEFAULT_QUAD_TOL, energy_report
 from .errors import DomainError, InputError
 from .experiment import RateExperimentConfig, geometric_schedule, run_rate_experiment
-from .manifold import Manifold, make_manifold, sample_uniform
-from .pointsets import (PointSet, farthest_point_sample, fibonacci_sphere,
-                        kronecker_torus, min_geodesic_distance)
+from .manifold import Manifold, make_manifold
+from .pointsets import GENERATORS, PointSet, generate_pointset, min_geodesic_distance
 from .verify import run_all_checks
 
 FORMAT_VERSION = 1
-GENERATORS = ("fibonacci", "kronecker", "farthest-point", "uniform")
 
 
 # ----------------------------------------------------------------------
@@ -181,19 +179,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_generate(args) -> int:
     m = make_manifold(args.manifold, args.dim)
-    if args.gen == "fibonacci":
-        if m.kind.value != "sphere" or m.dim != 2:
-            raise InputError("the fibonacci generator requires --manifold sphere --dim 2")
-        X = fibonacci_sphere(args.n)
-    elif args.gen == "kronecker":
-        if m.kind.value != "flat-torus":
-            raise InputError("the kronecker generator requires --manifold torus")
-        X = kronecker_torus(m.dim, args.n)
-    elif args.gen == "farthest-point":
-        X = farthest_point_sample(m, args.n, seed=args.seed, candidate_pool=args.pool)
-    else:
-        X = sample_uniform(m, args.seed, args.n)
-    save_pointset(X, args.out)
+    save_pointset(generate_pointset(m, args.gen, args.n, args.seed, args.pool), args.out)
     return 0
 
 

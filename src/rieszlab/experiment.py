@@ -19,9 +19,8 @@ import numpy as np
 from .discrepancy import estimate_discrepancy
 from .energy import check_exponent, continuous_energy, discrete_energy
 from .errors import InputError
-from .manifold import FlatTorus, Manifold, Sphere
-from .pointsets import (PointSet, farthest_point_sample, fibonacci_sphere,
-                        kronecker_torus, min_geodesic_distance)
+from .manifold import Manifold
+from .pointsets import generate_pointset, min_geodesic_distance
 from .verify import energy_rate_exponent
 
 CSV_COLUMNS = ["N", "energy_discrete", "energy_continuous", "gap",
@@ -165,26 +164,6 @@ def fit_loglog(xs, ys) -> LogLogFit:
     return LogLogFit(float(slope), float(intercept), r2)
 
 
-def _generate(cfg: RateExperimentConfig, n: int, row_seed: int) -> PointSet:
-    m = cfg.manifold
-    gen = cfg.generator
-    if gen == "fibonacci":
-        if not (isinstance(m, Sphere) and m.dim == 2):
-            raise InputError("the fibonacci generator requires the sphere S^2")
-        return fibonacci_sphere(n)
-    if gen == "kronecker":
-        if not isinstance(m, FlatTorus):
-            raise InputError("the kronecker generator requires a flat torus")
-        return kronecker_torus(m.dim, n)
-    if gen == "farthest-point":
-        pool = int(cfg.generator_params.get("candidate_pool", 10 * n))
-        return farthest_point_sample(m, n, seed=row_seed, candidate_pool=pool)
-    if gen == "uniform":
-        return PointSet(m, m.sample(row_seed, n),
-                        provenance={"generator": "uniform", "seed": row_seed, "n": n})
-    raise InputError(f"unknown generator {gen!r}")
-
-
 def _safe_fit(xs, ys):
     try:
         return fit_loglog(xs, ys)
@@ -208,7 +187,8 @@ def run_rate_experiment(cfg: RateExperimentConfig, threads=None) -> RateReport:
     for idx, n in enumerate(cfg.ns):
         t0 = time.perf_counter()
         row_seed = cfg.seed * 100003 + idx
-        X = _generate(cfg, int(n), row_seed)
+        pool = int(cfg.generator_params.get("candidate_pool", 10 * n))
+        X = generate_pointset(m, cfg.generator, int(n), row_seed, candidate_pool=pool)
         sep = min_geodesic_distance(X)
         if sep.has_duplicates:
             raise InputError(f"generator produced coincident points at N={n}")

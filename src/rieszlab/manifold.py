@@ -285,14 +285,9 @@ class Sphere(Manifold):
             return r / math.pi
         if self.dim == 2:
             return (1.0 - np.cos(r)) / 2.0
-        z = self.zonal_normalization()
-        d = self.dim
-        vals = np.array([
-            integrate.quad(lambda u: math.sin(u) ** (d - 1), 0.0, ri,
-                           epsabs=1e-12, epsrel=1e-12)[0] / z
-            for ri in r
-        ])
-        return np.minimum(vals, 1.0)
+        # (1 - <x, y>) / 2 = sin^2(dist / 2) is Beta(d/2, d/2) under the uniform measure
+        half = self.dim / 2.0
+        return special.betainc(half, half, np.sin(r / 2.0) ** 2)
 
 
 class FlatTorus(Manifold):
@@ -317,10 +312,11 @@ class FlatTorus(Manifold):
         return 1.0
 
     def _normalize(self, coords):
-        return np.mod(coords, 1.0)
+        # np.mod(-1e-17, 1.0) rounds up to 1.0; fold it to 0.0 to stay in [0, 1)
+        wrapped = np.mod(coords, 1.0)
+        return np.where(wrapped == 1.0, 0.0, wrapped)
 
-    def _normalize_rows(self, coords):
-        return np.mod(coords, 1.0)
+    _normalize_rows = _normalize
 
     def _project_tangent(self, base, vec):
         return vec
@@ -339,7 +335,7 @@ class FlatTorus(Manifold):
         return np.sqrt(np.sum(delta * delta, axis=2))
 
     def exp_array(self, base, vec):
-        return np.mod(base + vec, 1.0)
+        return self._normalize(base + vec)
 
     def _log_array(self, x, ys):
         return self._wrap_delta(ys - x)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import energy as _energy
 from .errors import DomainError, InputError
-from .manifold import FlatTorus, Manifold, Point, Sphere
+from .manifold import FlatTorus, Manifold, Point, Sphere, sample_uniform
 from .parallel import chunk_ranges
 from .rng import stream
 
@@ -112,70 +112,33 @@ def _brute_min(X: PointSet):
 
 
 def _grid_min(X: PointSet):
-    """Uniform-grid neighbor search on the torus.
+    """Periodic k-d tree search on the torus.
 
-    Cell edges start at the expected nearest-neighbor scale and grow until
-    the candidate minimum is certified (a pair at distance <= cell edge
-    always falls in adjacent cells).  Distances for candidate pairs are
-    evaluated with the same elementwise expression as the brute-force
-    scan, so the returned minimum is bit-identical.
+    The tree gives the nearest-neighbor scale; every pair within a hair of
+    it is rescored with the same elementwise expression as the brute-force
+    scan, so the returned minimum and pair are bit-identical.
     """
+    from scipy.spatial import cKDTree
+
     m = X.manifold
     if not isinstance(m, FlatTorus):
         raise InputError("grid-accelerated separation is only available on the torus")
     coords = X.coords
-    n, d = coords.shape
-    edge = n ** (-1.0 / d)
-    while True:
-        k = int(1.0 / edge)
-        if k < 3:
-            return _brute_min(X)
-        cells = np.minimum((coords * k).astype(int), k - 1)
-        buckets: dict = {}
-        for idx, cell in enumerate(map(tuple, cells)):
-            buckets.setdefault(cell, []).append(idx)
-        offsets = np.array(np.meshgrid(*[[-1, 0, 1]] * d)).T.reshape(-1, d)
-        cand_i, cand_j = [], []
-        for cell, members in buckets.items():
-            for off in offsets:
-                other = tuple((np.array(cell) + off) % k)
-                if other < cell:
-                    continue
-                peers = buckets.get(other)
-                if peers is None:
-                    continue
-                if other == cell:
-                    for a in range(len(members)):
-                        for b in range(a + 1, len(members)):
-                            i, j = members[a], members[b]
-                            cand_i.append(min(i, j))
-                            cand_j.append(max(i, j))
-                else:
-                    for i in members:
-                        for j in peers:
-                            cand_i.append(min(i, j))
-                            cand_j.append(max(i, j))
-        if cand_i:
-            ii = np.array(cand_i)
-            jj = np.array(cand_j)
-            delta = m._wrap_delta(coords[ii] - coords[jj])
-            dist = np.sqrt(np.sum(delta * delta, axis=1))
-            best = float(dist.min())
-            if best <= edge:
-                hits = np.flatnonzero(dist == best)
-                pairs = sorted((int(ii[h]), int(jj[h])) for h in hits)
-                return best, pairs[0]
-        edge *= 2.0
-        if edge > m.diameter:
-            return _brute_min(X)
+    tree = cKDTree(coords, boxsize=1.0)
+    near = float(tree.query(coords, k=2)[0][:, 1].min())
+    pairs = tree.query_pairs(near * (1.0 + 1e-12), output_type="ndarray")
+    delta = m._wrap_delta(coords[pairs[:, 0]] - coords[pairs[:, 1]])
+    dist = np.sqrt(np.sum(delta * delta, axis=1))
+    best = float(dist.min())
+    return best, min(map(tuple, pairs[dist == best].tolist()))
 
 
 def min_geodesic_distance(X: PointSet, method: str = "brute") -> SeparationReport:
     """Exact minimum over all pairs, with gamma_hat = min * N^(1/d).
 
-    method "grid" uses the torus neighbor-grid accelerator (bit-identical
-    result); "brute" scans all pairs.  Duplicate points yield a zero
-    minimum with the has_duplicates flag set.
+    method "grid" uses a periodic k-d tree on the torus (bit-identical
+    minimum and pair); "brute" scans all pairs.  Duplicate points yield a
+    zero minimum with the has_duplicates flag set.
     """
     if X.n < 2:
         raise InputError("separation needs at least 2 points")
@@ -263,22 +226,31 @@ def farthest_point_sample(m: Manifold, n: int, seed: int, candidate_pool: int | 
     })
 
 
+GENERATORS = ("fibonacci", "kronecker", "farthest-point", "uniform")
+
+
+def generate_pointset(m: Manifold, generator: str, n: int, seed: int,
+                      candidate_pool: int | None = None) -> PointSet:
+    """n points of m from one of the named GENERATORS; seed and
+    candidate_pool are used only by the generators that take them."""
+    if generator == "fibonacci":
+        if not (isinstance(m, Sphere) and m.dim == 2):
+            raise InputError("the fibonacci generator requires the sphere S^2")
+        return fibonacci_sphere(n)
+    if generator == "kronecker":
+        if not isinstance(m, FlatTorus):
+            raise InputError("the kronecker generator requires a flat torus")
+        return kronecker_torus(m.dim, n)
+    if generator == "farthest-point":
+        return farthest_point_sample(m, n, seed=seed, candidate_pool=candidate_pool)
+    if generator == "uniform":
+        return sample_uniform(m, seed, n)
+    raise InputError(f"unknown generator {generator!r}")
+
+
 # ----------------------------------------------------------------------
 # Riesz energy descent
 # ----------------------------------------------------------------------
-
-class _CoordsView:
-    """Duck-typed stand-in for PointSet inside the descent loop: the
-    proposals come straight from exp_array, so re-validation per line
-    search step would only cost time."""
-
-    __slots__ = ("manifold", "coords", "n")
-
-    def __init__(self, manifold, coords):
-        self.manifold = manifold
-        self.coords = coords
-        self.n = len(coords)
-
 
 def _energy_or_inf(X, s: float) -> float:
     try:
@@ -308,7 +280,7 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
     if sep is not None and sep.has_duplicates:
         raise InputError(f"initial set has coincident points at indices {sep.pair}")
     n, d = X0.n, m.dim
-    current = _CoordsView(m, np.array(X0.coords))
+    current = PointSet._trusted(m, X0.coords)
     energy_now = _energy.discrete_energy(current, s) if n >= 2 else 0.0
     trace = [energy_now]
     eta0 = 0.1 * n ** (-1.0 / d)
@@ -327,7 +299,7 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
                 continue
             eta = eta0
             for _ in range(60):
-                prop = _CoordsView(m, m.exp_array(current.coords, -eta * grad))
+                prop = PointSet._trusted(m, m.exp_array(current.coords, -eta * grad))
                 e_prop = _energy_or_inf(prop, s)
                 if e_prop < energy_now:
                     if e_prop < best_e:

@@ -237,12 +237,14 @@ def packing_number(m: Manifold, x: Point, r: float, q: float, pool_seed: int,
         raise InputError("could not fill the candidate pool; ball volume too small")
     pool = np.concatenate(pool)[:pool_size]
     order = np.argsort(-m.distances_from(xc, pool), kind="stable")
-    accepted = np.empty((0, pool.shape[1]))
+    accepted = np.empty_like(pool)
+    count = 0
     for idx in order:
         c = pool[idx]
-        if len(accepted) == 0 or np.all(m.distances_from(c, accepted) >= q):
-            accepted = np.vstack([accepted, c[None, :]])
-    return len(accepted)
+        if count == 0 or np.all(m.distances_from(c, accepted[:count]) >= q):
+            accepted[count] = c
+            count += 1
+    return count
 
 
 def check_packing_bound(m: Manifold, cases: int = 50, seed: int = 0,
@@ -334,6 +336,9 @@ def check_mean_potential_holder(m: Manifold, s: float, pairs: int = 20, seed: in
     rng = stream(seed, "holder-pairs")
     r0 = m.injectivity_radius
     scales = np.geomspace(r0 * 1e-4, r0 * 1e-1, 4)
+    # U is position-independent (see mean_potential): one evaluation gives
+    # U(x) and U(x') for every pair
+    u = mean_potential(m, m.origin(), s, tol)
     worst = 0.0
     for t in scales:
         for _ in range(pairs):
@@ -344,7 +349,8 @@ def check_mean_potential_holder(m: Manifold, s: float, pairs: int = 20, seed: in
             if norm == 0.0:
                 continue
             x2 = m.exp_array(x[None, :], (t / norm * v)[None, :])[0]
-            du = abs(mean_potential(m, Point(x), s, tol) - mean_potential(m, Point(x2), s, tol))
+            m.point(x2)  # U(x') = u, but x' must still be a valid point
+            du = abs(u - u)
             worst = max(worst, float(du / t ** beta))
     return BoundCheckReport(
         check="mean-potential-holder",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import (DomainError, InputError, ball_volume,
+from rieszlab import (DomainError, InputError, PointSet, ball_volume,
                       euclidean_ball_volume, exp_map, flat_torus,
                       geodesic_distance, log_map, make_manifold,
                       sample_uniform, sphere)
@@ -127,13 +127,16 @@ def test_torus_large_radius_unsupported_dimension():
 
 
 def test_sphere3_zonal_quadrature_matches_reference():
-    # independent reference: quad of sin^2 on (0, r) over its value on (0, pi)
-    from scipy.integrate import quad
-    m = sphere(3)
-    for r in (0.3, 1.0, 2.0, 3.0):
-        num = quad(lambda t: math.sin(t) ** 2, 0, r)[0]
-        den = quad(lambda t: math.sin(t) ** 2, 0, math.pi)[0]
-        assert ball_volume(m, r) == pytest.approx(num / den, abs=1e-10)
+    # independent reference: 30-digit quadrature of sin^(d-1) on (0, r)
+    # over its value on (0, pi)
+    import mpmath
+    with mpmath.workdps(30):
+        for d in (3, 4, 5, 7):
+            m = sphere(d)
+            den = mpmath.quad(lambda t: mpmath.sin(t) ** (d - 1), [0, mpmath.pi])
+            for r in (0.3, 1.0, 2.0, 3.0):
+                num = mpmath.quad(lambda t: mpmath.sin(t) ** (d - 1), [0, r])
+                assert ball_volume(m, r) == pytest.approx(float(num / den), abs=1e-14)
 
 
 def test_negative_radius_rejected():
@@ -302,6 +305,15 @@ def test_make_manifold_names():
         make_manifold("klein", 2)
     with pytest.raises(InputError):
         make_manifold("sphere", 0)
+
+
+def test_torus_wrap_folds_tiny_negatives_to_zero():
+    # np.mod(-1e-17, 1.0) is 1.0, outside [0, 1); every wrap must fold it to 0.0
+    m = flat_torus(2)
+    assert m.point([-1e-17, 0.5]).coords.tolist() == [0.0, 0.5]
+    assert PointSet(m, [[-1e-17, 0.5], [0.25, -1e-17]]).coords.tolist() == [[0.0, 0.5], [0.25, 0.0]]
+    moved = m.exp_array(np.array([[0.0, 0.5]]), np.array([[-1e-17, 0.0]]))
+    assert moved.tolist() == [[0.0, 0.5]]
 
 
 def test_point_wrapping_and_renormalization():

@@ -52,15 +52,27 @@ def test_separation_needs_two_points():
 
 @pytest.mark.parametrize("d,n", [(1, 50), (1, 333), (2, 50), (2, 400), (3, 150)])
 def test_grid_separation_bit_identical(d, n):
+    m = flat_torus(d)
+    base = sample_uniform(m, 0, n).coords
+    edge_sets = [
+        np.vstack([base, base[n // 2], base[0]]),       # two duplicates: tied pairs
+        np.vstack([base[1:], np.full((2, d), -1e-17)]),  # tiny negatives wrap to 0.0
+        base[:2],                                       # N = 2
+    ]
+    sets = [sample_uniform(m, seed, n) for seed in range(20)]
+    sets += [PointSet(m, coords) for coords in edge_sets]
     count = 0
-    for seed in range(20):
-        X = sample_uniform(flat_torus(d), seed, n)
+    for X in sets:
         brute = min_geodesic_distance(X, "brute")
         grid = min_geodesic_distance(X, "grid")
         assert grid.min_distance == brute.min_distance  # bitwise
         assert grid.pair == brute.pair
         count += 1
-    assert count == 20
+    assert count == 23
+    dup = min_geodesic_distance(sets[20], "grid")
+    assert dup.min_distance == 0.0 and dup.pair == (0, n + 1)
+    wrapped = min_geodesic_distance(sets[21], "grid")
+    assert wrapped.min_distance == 0.0 and wrapped.pair == (n - 1, n)
 
 
 def test_grid_separation_torus_only():
