@@ -1,9 +1,12 @@
 """Riesz kernel, discrete and continuous energies, mean potentials.
 
 The continuous energy is reduced to a one-dimensional radial integral,
-which is exact on the homogeneous manifolds handled here.  All pairwise
-sums use compensated summation over fixed-size row chunks so that serial
-and multi-threaded runs agree bit for bit.
+which is exact on the homogeneous manifolds handled here.  Pair sums and
+minima visit each unordered pair once, in upper-triangle row blocks: the
+distances from CHUNK_ROWS consecutive rows to those rows and every later
+point.  Block sums are combined with compensated summation, and block
+boundaries do not depend on the thread count, so serial and
+multi-threaded runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -55,22 +58,26 @@ def compensated_sum(values) -> float:
     return total
 
 
-def _chunk_pair_sum(X, s, lo, hi):
-    """Kernel sum over ordered pairs (i, j) with lo <= i < hi < ... j > i.
+def _upper_block(X, lo, hi):
+    """Distances from points lo..hi-1 to points lo..N-1, and the mask of
+    the entries with row < column: entry (i, j) is the pair
+    (lo + i, lo + j)."""
+    D = X.manifold.pairwise_block(X.coords[lo:hi], X.coords[lo:])
+    return D, ~np.tri(*D.shape, dtype=bool)
 
-    Row sums are formed by numpy's deterministic reduction; the rows of a
-    chunk are then combined with compensated summation.
+
+def _chunk_pair_sum(X, s, lo, hi):
+    """Kernel sum over the pairs (i, j) with lo <= i < hi and i < j.
+
+    Each row of the upper-triangle block is summed by numpy's
+    deterministic reduction; the rows of a chunk are then combined with
+    compensated summation.
     """
-    coords = X.coords
-    n = len(coords)
-    D = X.manifold.pairwise_block(coords[lo:hi], coords)
-    cols = np.arange(n)[None, :]
-    rows = np.arange(lo, hi)[:, None]
-    upper = cols > rows
+    D, upper = _upper_block(X, lo, hi)
     bad = upper & (D <= 0.0)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
-        raise DomainError(f"coincident points at indices {lo + int(i)} and {int(j)}")
+        raise DomainError(f"coincident points at indices {lo + int(i)} and {lo + int(j)}")
     safe = np.where(upper, D, 1.0)
     kernel = np.where(upper, safe ** (-s), 0.0)
     return compensated_sum(kernel.sum(axis=1))
@@ -126,20 +133,15 @@ def energy_via_distance_cdf(X, s: float) -> float:
     dists = pairwise_distances(X)
     if np.any(dists <= 0.0):
         raise DomainError("coincident points in the set")
-    radii, counts = np.unique(np.sort(dists), return_counts=True)
+    radii, counts = np.unique(dists, return_counts=True)
     return 2.0 * compensated_sum(radii ** (-s) * counts) / (n * n)
 
 
 def pairwise_distances(X) -> np.ndarray:
-    """All N(N-1)/2 pairwise geodesic distances (upper triangle, row-major)."""
-    coords = X.coords
-    n = len(coords)
-    blocks = []
-    for lo, hi in chunk_ranges(n, CHUNK_ROWS):
-        D = X.manifold.pairwise_block(coords[lo:hi], coords)
-        for row in range(lo, hi):
-            blocks.append(D[row - lo, row + 1:])
-    return np.concatenate(blocks) if blocks else np.empty(0)
+    """All N(N-1)/2 pairwise geodesic distances (upper triangle, row-major),
+    gathered from the upper-triangle row blocks."""
+    blocks = (_upper_block(X, lo, hi) for lo, hi in chunk_ranges(X.n, CHUNK_ROWS))
+    return np.concatenate([D[upper] for D, upper in blocks])
 
 
 # ----------------------------------------------------------------------
@@ -170,9 +172,8 @@ def _sphere_radial(m: Sphere, s: float, upper: float, tol: float) -> float:
 def _torus_radial(m: FlatTorus, s: float, tol: float) -> float:
     """Integral of r^(-s) against the radial ball-volume density on T^d."""
     d = m.dim
-    # r <= 1/2: volume density is the Euclidean one, d*c_d*r^(d-1); exact.
-    c_d = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-    head = d * c_d * 0.5 ** (d - s) / (d - s)
+    # r <= 1/2: the volume density is the Euclidean one; exact.
+    head = small_ball_energy(m, s, 0.5, tol)
     if d == 1:
         return head
     if d == 2:

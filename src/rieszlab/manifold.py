@@ -98,7 +98,8 @@ class Manifold(ABC):
 
     def point(self, coords) -> Point:
         """Validate (and normalize / wrap) raw coordinates into a Point."""
-        return Point(self._normalize(_as_vector(coords, self.ambient_dim, "point")))
+        v = _as_vector(coords, self.ambient_dim, "point")
+        return Point(self._normalize(v[None, :])[0])
 
     def tangent(self, base: Point, components) -> TangentVector:
         comp = _as_vector(components, self.ambient_dim, "tangent vector")
@@ -177,11 +178,8 @@ class Manifold(ABC):
 
     @abstractmethod
     def _normalize(self, coords: np.ndarray) -> np.ndarray:
-        ...
-
-    @abstractmethod
-    def _normalize_rows(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized _normalize over the rows of an (n, ambient_dim) array."""
+        """Validate and normalize (or wrap) the rows of an (n, ambient_dim)
+        array onto the manifold."""
 
     @abstractmethod
     def _sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -239,16 +237,8 @@ class Sphere(Manifold):
         return self._zonal_norm
 
     def _normalize(self, coords):
-        norm = np.linalg.norm(coords)
-        if norm == 0.0:
-            raise InputError("cannot normalize the zero vector onto the sphere")
-        if abs(norm - 1.0) > 1e-6:
-            raise InputError(f"sphere point norm {norm:.6g} too far from 1")
-        return coords / norm
-
-    def _normalize_rows(self, coords):
         norms = np.linalg.norm(coords, axis=1)
-        if np.any(norms == 0.0) or np.any(np.abs(norms - 1.0) > 1e-6):
+        if np.any(np.abs(norms - 1.0) > 1e-6):
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise InputError(f"sphere point {bad} has norm {norms[bad]:.6g}, too far from 1")
         return coords / norms[:, None]
@@ -315,8 +305,6 @@ class FlatTorus(Manifold):
         # np.mod(-1e-17, 1.0) rounds up to 1.0; fold it to 0.0 to stay in [0, 1)
         wrapped = np.mod(coords, 1.0)
         return np.where(wrapped == 1.0, 0.0, wrapped)
-
-    _normalize_rows = _normalize
 
     def _project_tangent(self, base, vec):
         return vec

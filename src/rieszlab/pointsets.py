@@ -38,7 +38,7 @@ class PointSet:
             raise InputError("a point set needs at least one point")
         if not np.all(np.isfinite(arr)):
             raise InputError("non-finite coordinates")
-        arr = manifold._normalize_rows(arr)
+        arr = manifold._normalize(arr)
         arr.setflags(write=False)
         self.manifold = manifold
         self.coords = arr
@@ -93,21 +93,18 @@ class SeparationReport:
 
 
 def _brute_min(X: PointSet):
-    coords = X.coords
-    n = len(coords)
+    """Smallest distance over the upper-triangle row blocks, with the
+    lexicographically smallest pair attaining it: blocks run in row order,
+    argmin takes the first entry of a block, and a later block wins only
+    on a strictly smaller distance."""
     best = math.inf
     best_pair = (-1, -1)
-    for lo, hi in chunk_ranges(n, 512):
-        D = X.manifold.pairwise_block(coords[lo:hi], coords)
-        rows = np.arange(lo, hi)[:, None]
-        upper = np.arange(n)[None, :] > rows
+    for lo, hi in chunk_ranges(X.n, _energy.CHUNK_ROWS):
+        D, upper = _energy._upper_block(X, lo, hi)
         masked = np.where(upper, D, math.inf)
-        k = int(np.argmin(masked))
-        i, j = divmod(k, n)
-        d = float(masked[i, j])
-        i += lo
-        if d < best or (d == best and (i, j) < best_pair):
-            best, best_pair = d, (i, j)
+        i, j = np.unravel_index(np.argmin(masked), masked.shape)
+        if masked[i, j] < best:
+            best, best_pair = float(masked[i, j]), (lo + int(i), lo + int(j))
     return best, best_pair
 
 
@@ -272,16 +269,17 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
 
     Stops when the relative energy decrease falls below tol, after
     max_iters iterations, or when no candidate improves (flagged in the
-    provenance).  The energy trace of accepted iterates is recorded.
+    provenance).  The energy trace of accepted iterates is recorded.  A
+    starting set with coincident points raises InputError naming a pair.
     """
     _energy.check_exponent(s, X0.manifold.dim)
     m = X0.manifold
-    sep = min_geodesic_distance(X0, "brute") if X0.n >= 2 else None
-    if sep is not None and sep.has_duplicates:
-        raise InputError(f"initial set has coincident points at indices {sep.pair}")
     n, d = X0.n, m.dim
     current = PointSet._trusted(m, X0.coords)
-    energy_now = _energy.discrete_energy(current, s) if n >= 2 else 0.0
+    try:
+        energy_now = _energy.discrete_energy(current, s) if n >= 2 else 0.0
+    except DomainError as exc:
+        raise InputError(f"initial set has {exc}") from exc
     trace = [energy_now]
     eta0 = 0.1 * n ** (-1.0 / d)
     converged = False

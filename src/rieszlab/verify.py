@@ -225,8 +225,12 @@ def packing_number(m: Manifold, x: Point, r: float, q: float, pool_seed: int,
     xc = np.asarray(x.coords, dtype=float)
     pool = []
     need = pool_size
-    for _ in range(200):
-        batch = m._sample(rng, max(1024, pool_size))
+    batch_size = max(1024, pool_size)
+    # enough batches to expect twice the pool; the radius is clipped to the
+    # injectivity radius, below which ball_volume is defined on every T^d
+    hit_rate = m.ball_volume(min(r, m.injectivity_radius))
+    for _ in range(max(200, math.ceil(2 * pool_size / (batch_size * hit_rate)))):
+        batch = m._sample(rng, batch_size)
         inside = batch[m.distances_from(xc, batch) <= r]
         if len(inside):
             pool.append(inside)

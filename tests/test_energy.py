@@ -7,8 +7,9 @@ from scipy import integrate, special
 from rieszlab import (DomainError, InputError, PointSet, continuous_energy,
                       discrete_energy, energy_gradient, energy_report,
                       energy_via_distance_cdf, flat_torus, mean_potential,
-                      punctured_mean_potential, riesz_kernel, sample_uniform,
-                      sphere)
+                      minimize_riesz_energy, punctured_mean_potential,
+                      riesz_kernel, sample_uniform, sphere)
+from rieszlab.energy import pairwise_distances
 from rieszlab.rng import stream
 
 
@@ -90,6 +91,20 @@ def test_coincident_points_error_names_indices():
     X = PointSet(m, [[0.1], [0.4], [0.1]])
     with pytest.raises(DomainError, match="0 and 2"):
         discrete_energy(X, 0.5)
+    # both points of the pair lie in the second 256-row block
+    coords = sample_uniform(flat_torus(2), 3, 300).coords.copy()
+    coords[290] = coords[270]
+    Y = PointSet(flat_torus(2), coords)
+    with pytest.raises(DomainError, match="indices 270 and 290"):
+        discrete_energy(Y, 1.0)
+    with pytest.raises(InputError, match="indices 270 and 290"):
+        minimize_riesz_energy(Y, 1.0, max_iters=1)
+
+
+def test_pairwise_distances_match_full_block_upper_triangle():
+    X = sample_uniform(flat_torus(2), 11, 600)  # three 256-row blocks
+    full = X.manifold.pairwise_block(X.coords, X.coords)[np.triu_indices(600, 1)]
+    assert pairwise_distances(X).tobytes() == full.tobytes()
 
 
 def test_exponent_range_enforced():

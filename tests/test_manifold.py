@@ -316,6 +316,14 @@ def test_torus_wrap_folds_tiny_negatives_to_zero():
     assert moved.tolist() == [[0.0, 0.5]]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_point_normalizes_like_pointset_rows(d):
+    m = sphere(d)
+    raw = m.sample(4, 500) * (1.0 + 1e-9)
+    rows = PointSet(m, raw).coords
+    assert np.array_equal(np.array([m.point(v).coords for v in raw]), rows)  # bitwise
+
+
 def test_point_wrapping_and_renormalization():
     t = flat_torus(2)
     p = t.point([1.25, -0.5])

@@ -45,6 +45,23 @@ def test_duplicate_points_flagged():
     assert rep.pair == (0, 2)
 
 
+def test_brute_separation_pair_past_first_block():
+    m = flat_torus(2)
+    base = sample_uniform(m, 5, 400).coords
+    near = base.copy()
+    near[350] = near[300] + 1e-7        # closest pair, both in the second 256-row block
+    tied = base.copy()
+    tied[350], tied[100] = tied[300], tied[3]  # zero-distance pairs in both blocks
+    for coords, pair in ((near, (300, 350)), (tied, (3, 100))):
+        X = PointSet(m, coords)
+        full = m.pairwise_block(X.coords, X.coords)
+        masked = np.where(np.triu(np.ones((400, 400), dtype=bool), 1), full, np.inf)
+        i, j = np.unravel_index(np.argmin(masked), masked.shape)
+        rep = min_geodesic_distance(X, "brute")
+        assert rep.pair == pair == (i, j)
+        assert rep.min_distance == masked[i, j]  # bitwise
+
+
 def test_separation_needs_two_points():
     with pytest.raises(InputError):
         min_geodesic_distance(fibonacci_sphere(1))

@@ -140,6 +140,13 @@ def test_packing_rejects_bad_q():
         packing_number(m, m.point([0.5]), 0.1, 0.1, pool_seed=0)
 
 
+def test_packing_fills_pool_on_small_high_dimensional_cap():
+    # a 0.15*pi cap holds 0.35% of S^5: 200 batches of 4096 expect ~2,900 of 4,096 hits
+    m = sphere(5)
+    count = packing_number(m, m.origin(), 0.15 * math.pi, 0.05 * math.pi, pool_seed=0)
+    assert count >= 1
+
+
 def test_sphere_packing_under_volume_bound():
     m = sphere(2)
     count = packing_number(m, m.origin(), 0.5, 0.05, pool_seed=0)
