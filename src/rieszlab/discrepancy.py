@@ -63,23 +63,18 @@ def ball_count(X, y: Point, r: float) -> int:
 def _two_sided_values(m: Manifold, coords: np.ndarray, centers: np.ndarray):
     """Jump values |empirical - volume| for a block of centers.
 
-    Returns (above, below, sorted_distances): above[c, i] is the value
-    with the ball closed at the i-th sorted distance, below[c, i] the
-    one-sided limit from beneath it.
+    Returns (above, below, Q), Q the sorted squared distances (sq_dist):
+    above[c, i] is the value with the ball closed at the i-th sorted
+    distance, below[c, i] the one-sided limit from beneath it.
     """
     n = len(coords)
-    D = m.pairwise_block(centers, coords)
-    D.sort(axis=1)
-    V = m.ball_volume(D)
+    Q = m.sq_dist(centers[:, None, :], coords[None, :, :])
+    Q.sort(axis=1)
+    V = m.volume_from_sq(Q)
     counts = np.arange(1, n + 1, dtype=float) / n
     above = counts[None, :] - V
     below = V - (counts[None, :] - 1.0 / n)
-    return above, below, D
-
-
-def _center_max_values(m: Manifold, coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    above, below, _ = _two_sided_values(m, coords, centers)
-    return np.maximum(above.max(axis=1), below.max(axis=1))
+    return above, below, Q
 
 
 def center_discrepancy(X, y: Point):
@@ -91,9 +86,9 @@ def center_discrepancy(X, y: Point):
     Ties prefer the smaller radius, then the 'above' side.
     """
     center = np.asarray(y.coords, dtype=float)[None, :]
-    above, below, D = _two_sided_values(X.manifold, X.coords, center)
+    above, below, Q = _two_sided_values(X.manifold, X.coords, center)
     vals = np.concatenate([above[0], below[0]])
-    radii = np.concatenate([D[0], D[0]])
+    radii = np.tile(X.manifold.dist_from_sq(Q[0]), 2)
     sides = np.concatenate([np.zeros(X.n, dtype=int), np.ones(X.n, dtype=int)])
     k = np.lexsort((sides, radii, -vals))[0]
     return float(vals[k]), float(radii[k]), SIDE_ABOVE if sides[k] == 0 else SIDE_BELOW
@@ -120,8 +115,8 @@ def estimate_discrepancy(X, extra_centers: int | None = None, seed: int = 0,
         centers = np.concatenate([centers, extra], axis=0)
 
     def work(rng):
-        lo, hi = rng
-        return _center_max_values(m, X.coords, centers[lo:hi])
+        above, below, _ = _two_sided_values(m, X.coords, centers[slice(*rng)])
+        return np.maximum(above.max(axis=1), below.max(axis=1))
 
     vals = np.concatenate(map_ordered(work, chunk_ranges(len(centers), _CENTER_BLOCK), threads))
     k = int(np.argmax(vals))  # first occurrence = smallest center index

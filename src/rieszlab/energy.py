@@ -3,10 +3,10 @@
 The continuous energy is reduced to a one-dimensional radial integral,
 which is exact on the homogeneous manifolds handled here.  Pair sums and
 minima visit each unordered pair once, in upper-triangle row blocks: the
-distances from CHUNK_ROWS consecutive rows to those rows and every later
-point.  Block sums are combined with compensated summation, and block
-boundaries do not depend on the thread count, so serial and
-multi-threaded runs agree bit for bit.
+squared distances (sq_dist) from CHUNK_ROWS consecutive rows to those rows
+and every later point.  Block sums are combined with compensated summation;
+block boundaries do not depend on the thread count and the kernel makes no
+BLAS call, so results agree bit for bit for any number of threads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError, InputError
-from .manifold import SQRT2_2, SQRT3_2, FlatTorus, Manifold, ManifoldKind, Point, Sphere
+from .manifold import SQRT2_2, SQRT3_2, FlatTorus, Manifold, Point, Sphere
 from .parallel import chunk_ranges, map_ordered
 
 # Fixed row-chunk size for pairwise reductions.  Chunk boundaries (and
@@ -59,11 +59,11 @@ def compensated_sum(values) -> float:
 
 
 def _upper_block(X, lo, hi):
-    """Distances from points lo..hi-1 to points lo..N-1, and the mask of
-    the entries with row < column: entry (i, j) is the pair
+    """Squared distances (sq_dist) from points lo..hi-1 to points lo..N-1,
+    and the mask of the entries with row < column: entry (i, j) is the pair
     (lo + i, lo + j)."""
-    D = X.manifold.pairwise_block(X.coords[lo:hi], X.coords[lo:])
-    return D, ~np.tri(*D.shape, dtype=bool)
+    Q = X.manifold.sq_dist(X.coords[lo:hi, None, :], X.coords[None, lo:, :])
+    return Q, ~np.tri(*Q.shape, dtype=bool)
 
 
 def _chunk_pair_sum(X, s, lo, hi):
@@ -73,12 +73,12 @@ def _chunk_pair_sum(X, s, lo, hi):
     deterministic reduction; the rows of a chunk are then combined with
     compensated summation.
     """
-    D, upper = _upper_block(X, lo, hi)
-    bad = upper & (D <= 0.0)
+    Q, upper = _upper_block(X, lo, hi)
+    bad = upper & (Q <= 0.0)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise DomainError(f"coincident points at indices {lo + int(i)} and {lo + int(j)}")
-    safe = np.where(upper, D, 1.0)
+    safe = X.manifold.dist_from_sq(np.where(upper, Q, 1.0))
     kernel = np.where(upper, safe ** (-s), 0.0)
     return compensated_sum(kernel.sum(axis=1))
 
@@ -141,7 +141,7 @@ def pairwise_distances(X) -> np.ndarray:
     """All N(N-1)/2 pairwise geodesic distances (upper triangle, row-major),
     gathered from the upper-triangle row blocks."""
     blocks = (_upper_block(X, lo, hi) for lo, hi in chunk_ranges(X.n, CHUNK_ROWS))
-    return np.concatenate([D[upper] for D, upper in blocks])
+    return X.manifold.dist_from_sq(np.concatenate([Q[upper] for Q, upper in blocks]))
 
 
 # ----------------------------------------------------------------------
@@ -266,38 +266,29 @@ def energy_gradient(X, s: float, cut_margin: float = 1e-12) -> np.ndarray:
     grad = np.zeros_like(coords)
     if n < 2:
         return grad
-    scale = 2.0 / (n * n)
-    if isinstance(m, FlatTorus):
-        cut = m.injectivity_radius * (1.0 - cut_margin)
-        for lo, hi in chunk_ranges(n, CHUNK_ROWS):
-            delta = m._wrap_delta(coords[None, :, :] - coords[lo:hi, None, :])
-            d = np.sqrt(np.sum(delta * delta, axis=2))
-            rows = np.arange(lo, hi)[:, None]
-            off = np.arange(n)[None, :] != rows
-            if np.any(off & (d <= 0.0)):
-                raise DomainError("coincident points in the set")
-            live = off & (np.abs(delta) < cut).all(axis=2)
-            w = np.where(live, np.where(live, d, 1.0) ** (-s - 2.0), 0.0)
-            grad[lo:hi] = scale * s * np.einsum("ij,ijk->ik", w, delta)
-        return grad
-    # sphere: log_x(y) = theta * u / |u| with u = y - (x.y) x
+    scale = 2.0 * s / (n * n)
     cut = m.injectivity_radius * (1.0 - cut_margin)
+    sphere = isinstance(m, Sphere)
+    q_cut = 4.0 * math.sin(cut / 2.0) ** 2  # sq_dist at the cut on the sphere
     for lo, hi in chunk_ranges(n, CHUNK_ROWS):
-        dots = np.clip(coords[lo:hi] @ coords.T, -1.0, 1.0)
-        theta = np.arccos(dots)
-        rows = np.arange(lo, hi)[:, None]
-        off = np.arange(n)[None, :] != rows
-        if np.any(off & (theta <= 0.0)):
+        x, y = coords[lo:hi, None, :], coords[None, :, :]
+        q = m.sq_dist(x, y)
+        # deltas[k][i, j] is axis k of y - x for x = point lo + i, y = point j
+        deltas = [m._axis_delta(y[..., k] - x[..., k]) for k in range(m.ambient_dim)]
+        live = np.arange(n)[None, :] != np.arange(lo, hi)[:, None]
+        if np.any(live & (q <= 0.0)):
             raise DomainError("coincident points in the set")
-        u = coords[None, :, :] - dots[:, :, None] * coords[lo:hi, None, :]
-        norms = np.linalg.norm(u, axis=2)
-        live = off & (theta < cut) & (norms > 0.0)
-        w = np.where(live, np.where(live, theta, 1.0) ** (-s - 1.0), 0.0)
-        w = w / np.where(norms > 0.0, norms, 1.0)
-        grad[lo:hi] = scale * s * np.einsum("ij,ijk->ik", w, u)
-    # numerical tangency
-    grad -= np.sum(grad * coords, axis=1, keepdims=True) * coords
-    return grad
+        live &= (q < q_cut) if sphere else np.all(np.abs(deltas) < cut, axis=0)
+        q = np.where(live, q, 1.0)
+        dist = m.dist_from_sq(q)
+        # log_x(y) has length dist along u, the tangent part of y - x; on the
+        # sphere u = (y - x) + (q/2) x, so |u| = sqrt(q (1 - q/4)), and the
+        # projection below removes the x-part of y - x
+        u_norm = np.sqrt(q * (1.0 - q / 4.0)) if sphere else dist
+        w = np.where(live, dist ** (-s - 1.0) / u_norm, 0.0)
+        for k, delta in enumerate(deltas):
+            grad[lo:hi, k] = scale * np.sum(w * delta, axis=1)
+    return m._project_tangent(coords, grad)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,11 @@ Both manifolds are homogeneous, so the normalized volume of a geodesic
 ball depends on the radius only.  Sphere points are unit vectors in
 R^(d+1); torus points live in the half-open cube [0, 1)^d with the
 nearest-image (wrapped) metric.
+
+Every pairwise distance comes from one elementwise kernel, sq_dist: the
+squared chord |x - y|^2 on the sphere, the squared nearest-image distance
+on the torus.  No BLAS call sets its bits.  dist_from_sq and
+volume_from_sq map it to distances and ball volumes.
 """
 
 from __future__ import annotations
@@ -156,13 +161,36 @@ class Manifold(ABC):
 
     # -- array-level kernels (hot paths) -----------------------------------
 
-    @abstractmethod
-    def distances_from(self, y: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Geodesic distances from a single point y to each row of coords."""
+    def _axis_delta(self, diff):
+        """Axis-k difference b_k - a_k as sq_dist sees it (the torus wraps it)."""
+        return diff
+
+    def sq_dist(self, a, b):
+        """Squared-distance kernel between a and b, which broadcast over
+        their leading axes: the squared axis deltas, added in axis order."""
+        a, b = np.asarray(a), np.asarray(b)
+        q = 0.0
+        for k in range(self.ambient_dim):
+            delta = self._axis_delta(b[..., k] - a[..., k])
+            delta *= delta  # a fresh array: square it in place
+            q += delta
+        return q
 
     @abstractmethod
+    def dist_from_sq(self, q):
+        """Geodesic distance for the sq_dist value q."""
+
+    def volume_from_sq(self, q):
+        """Normalized ball volume at the sq_dist values q (any q >= 0)."""
+        return self.ball_volume(self.dist_from_sq(q))
+
+    def distances_from(self, y: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Geodesic distances from a single point y to each row of coords."""
+        return self.dist_from_sq(self.sq_dist(y, coords))
+
     def pairwise_block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(len(a), len(b)) matrix of geodesic distances."""
+        return self.dist_from_sq(self.sq_dist(a[:, None, :], b[None, :, :]))
 
     @abstractmethod
     def exp_array(self, base: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -174,7 +202,7 @@ class Manifold(ABC):
 
     @abstractmethod
     def _project_tangent(self, base: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        ...
+        """Tangent part of vec at base, row-wise for arrays of rows."""
 
     @abstractmethod
     def _normalize(self, coords: np.ndarray) -> np.ndarray:
@@ -244,13 +272,15 @@ class Sphere(Manifold):
         return coords / norms[:, None]
 
     def _project_tangent(self, base, vec):
-        return vec - np.dot(base, vec) * base
+        return vec - np.sum(base * vec, axis=-1, keepdims=True) * base
 
-    def distances_from(self, y, coords):
-        return np.arccos(np.clip(coords @ y, -1.0, 1.0))
+    # own entries: perfbench/tracing.py wraps the methods of each class
+    pairwise_block = Manifold.pairwise_block
+    distances_from = Manifold.distances_from
 
-    def pairwise_block(self, a, b):
-        return np.arccos(np.clip(a @ b.T, -1.0, 1.0))
+    def dist_from_sq(self, q):
+        # 2 atan2(|x - y|, |x + y|) is accurate at every angle, arccos(<x, y>) is not
+        return 2.0 * np.arctan2(np.sqrt(q), np.sqrt(np.maximum(4.0 - q, 0.0)))
 
     def exp_array(self, base, vec):
         theta = np.linalg.norm(vec, axis=1)
@@ -260,24 +290,28 @@ class Sphere(Manifold):
         return out / np.linalg.norm(out, axis=1, keepdims=True)
 
     def _log_array(self, x, ys):
-        theta = self.distances_from(x, ys)
-        u = ys - (ys @ x)[:, None] * x[None, :]
+        # u = ys - <x, ys> x, where <x, ys> = 1 - q/2
+        q = self.sq_dist(x, ys)
+        u = (ys - x) + (q / 2.0)[:, None] * x
         norms = np.linalg.norm(u, axis=1)
         safe = np.where(norms > 0.0, norms, 1.0)
-        return theta[:, None] * u / safe[:, None]
+        return self.dist_from_sq(q)[:, None] * u / safe[:, None]
 
     def _sample(self, rng, n):
         v = rng.standard_normal((n, self.ambient_dim))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
 
     def _ball_volume(self, r):
+        # S^1 keeps the arc: the round trip through q loses digits near pi
+        return r / math.pi if self.dim == 1 else self.volume_from_sq(4.0 * np.sin(r / 2.0) ** 2)
+
+    def volume_from_sq(self, q):
         if self.dim == 1:
-            return r / math.pi
-        if self.dim == 2:
-            return (1.0 - np.cos(r)) / 2.0
-        # (1 - <x, y>) / 2 = sin^2(dist / 2) is Beta(d/2, d/2) under the uniform measure
+            return self.dist_from_sq(q) / math.pi
+        # (1 - <x, y>) / 2 = q / 4 is Beta(d/2, d/2) under the uniform measure
+        x = np.minimum(q / 4.0, 1.0)
         half = self.dim / 2.0
-        return special.betainc(half, half, np.sin(r / 2.0) ** 2)
+        return x if self.dim == 2 else special.betainc(half, half, x)
 
 
 class FlatTorus(Manifold):
@@ -309,30 +343,24 @@ class FlatTorus(Manifold):
     def _project_tangent(self, base, vec):
         return vec
 
-    @staticmethod
-    def _wrap_delta(delta):
+    def _axis_delta(self, diff):
         # signed nearest-image difference in [-1/2, 1/2]
-        return delta - np.round(delta)
+        return diff - np.round(diff)
 
-    def distances_from(self, y, coords):
-        delta = self._wrap_delta(coords - y)
-        return np.sqrt(np.sum(delta * delta, axis=1))
+    pairwise_block = Manifold.pairwise_block  # own entries, as on Sphere
+    distances_from = Manifold.distances_from
 
-    def pairwise_block(self, a, b):
-        delta = self._wrap_delta(a[:, None, :] - b[None, :, :])
-        return np.sqrt(np.sum(delta * delta, axis=2))
+    def dist_from_sq(self, q):
+        return np.sqrt(q)
 
     def exp_array(self, base, vec):
         return self._normalize(base + vec)
 
     def _log_array(self, x, ys):
-        return self._wrap_delta(ys - x)
+        return self._axis_delta(ys - x)
 
     def _sample(self, rng, n):
         return rng.random((n, self.dim))
-
-    def _vol_r_le_half(self, r):
-        return euclidean_ball_volume(self.dim, r)
 
     def _ball_volume(self, r):
         d = self.dim
@@ -340,7 +368,7 @@ class FlatTorus(Manifold):
             return 2.0 * r
         out = np.empty_like(r)
         small = r <= 0.5
-        out[small] = self._vol_r_le_half(r[small])
+        out[small] = euclidean_ball_volume(d, r[small])
         big = ~small
         if np.any(big):
             if d == 2:

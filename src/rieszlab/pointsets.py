@@ -96,24 +96,24 @@ def _brute_min(X: PointSet):
     """Smallest distance over the upper-triangle row blocks, with the
     lexicographically smallest pair attaining it: blocks run in row order,
     argmin takes the first entry of a block, and a later block wins only
-    on a strictly smaller distance."""
+    on a strictly smaller squared distance."""
     best = math.inf
     best_pair = (-1, -1)
     for lo, hi in chunk_ranges(X.n, _energy.CHUNK_ROWS):
-        D, upper = _energy._upper_block(X, lo, hi)
-        masked = np.where(upper, D, math.inf)
+        Q, upper = _energy._upper_block(X, lo, hi)
+        masked = np.where(upper, Q, math.inf)
         i, j = np.unravel_index(np.argmin(masked), masked.shape)
         if masked[i, j] < best:
-            best, best_pair = float(masked[i, j]), (lo + int(i), lo + int(j))
-    return best, best_pair
+            best, best_pair = masked[i, j], (lo + int(i), lo + int(j))
+    return float(X.manifold.dist_from_sq(best)), best_pair
 
 
 def _grid_min(X: PointSet):
     """Periodic k-d tree search on the torus.
 
     The tree gives the nearest-neighbor scale; every pair within a hair of
-    it is rescored with the same elementwise expression as the brute-force
-    scan, so the returned minimum and pair are bit-identical.
+    it is rescored with the kernel of the brute-force scan, so the returned
+    minimum and pair are bit-identical.
     """
     from scipy.spatial import cKDTree
 
@@ -124,10 +124,9 @@ def _grid_min(X: PointSet):
     tree = cKDTree(coords, boxsize=1.0)
     near = float(tree.query(coords, k=2)[0][:, 1].min())
     pairs = tree.query_pairs(near * (1.0 + 1e-12), output_type="ndarray")
-    delta = m._wrap_delta(coords[pairs[:, 0]] - coords[pairs[:, 1]])
-    dist = np.sqrt(np.sum(delta * delta, axis=1))
-    best = float(dist.min())
-    return best, min(map(tuple, pairs[dist == best].tolist()))
+    q = m.sq_dist(coords[pairs[:, 0]], coords[pairs[:, 1]])
+    best = q.min()
+    return float(m.dist_from_sq(best)), min(map(tuple, pairs[q == best].tolist()))
 
 
 def min_geodesic_distance(X: PointSet, method: str = "brute") -> SeparationReport:
@@ -210,11 +209,12 @@ def farthest_point_sample(m: Manifold, n: int, seed: int, candidate_pool: int | 
     chosen = [start]
     if n > 1:
         pool = m._sample(rng, candidate_pool)
-        best = m.distances_from(start, pool)
+        # squared distances order the candidates as the distances do
+        best = m.sq_dist(start, pool)
         for _ in range(n - 1):
             pick = int(np.argmax(best))
             chosen.append(pool[pick].copy())
-            best = np.minimum(best, m.distances_from(pool[pick], pool))
+            best = np.minimum(best, m.sq_dist(pool[pick], pool))
     return PointSet(m, np.array(chosen), provenance={
         "generator": "farthest-point",
         "seed": int(seed),

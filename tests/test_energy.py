@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from rieszlab import (DomainError, InputError, PointSet, continuous_energy,
                       riesz_kernel, sample_uniform, sphere)
 from rieszlab.energy import pairwise_distances
 from rieszlab.rng import stream
+from cli_env import cli_env
 
 
 def naive_energy(X, s):
@@ -284,9 +287,55 @@ def test_gradient_matches_finite_differences(m, s):
         assert abs(fd - analytic) <= 1e-6 * max(abs(fd), abs(analytic))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sphere_gradient_is_tangent(d):
+    # the pair terms are summed along y - x, whose radial part the final
+    # projection must remove; finite differences only see tangent directions
+    X = sample_uniform(sphere(d), 5, 300)
+    grad = energy_gradient(X, 0.5)
+    radial = np.abs(np.sum(grad * X.coords, axis=1))
+    assert radial.max() <= 1e-13 * np.abs(grad).max()
+
+
+def test_sphere_gradient_drops_antipodal_pairs():
+    # points 0 and 1 sit at the cut locus of each other; each is pulled only
+    # by point 2, a quarter circle away, which the two pull equally
+    X = PointSet(sphere(1), [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    s = 0.5
+    pull = 2.0 / 9.0 * s * (math.pi / 2) ** (-s - 1.0)
+    grad = energy_gradient(X, s)
+    assert np.allclose(grad, [[0.0, pull], [0.0, pull], [0.0, 0.0]], rtol=1e-14, atol=0.0)
+
+
 def test_energy_report_fields():
     X = sample_uniform(sphere(2), 3, 32)
     rep = energy_report(X, 1.0)
     assert rep.n == 32
     assert rep.gap == abs(rep.energy_discrete - rep.energy_continuous)
     assert rep.provenance["generator"] == "uniform"
+
+
+_BLAS_HASH = """
+import hashlib
+from rieszlab import energy_gradient, sample_uniform, sphere
+from rieszlab.energy import pairwise_distances
+h = hashlib.sha256()
+for d in (1, 2, 3):
+    X = sample_uniform(sphere(d), d, 1100)
+    h.update(pairwise_distances(X).tobytes())
+    h.update(energy_gradient(X, 0.5).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_sphere_results_byte_identical_across_blas_threads():
+    # the BLAS thread count fixes the rounding order of a Gram product, so
+    # a result that depends on one changes bytes between 1 and 2 threads
+    digests = []
+    for threads in (1, 2):
+        env = dict(cli_env(1), OPENBLAS_NUM_THREADS=str(threads))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_HASH], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rieszlab import (DomainError, InputError, PointSet, ball_volume,
-                      euclidean_ball_volume, exp_map, flat_torus,
-                      geodesic_distance, log_map, make_manifold,
+                      discrete_energy, euclidean_ball_volume, exp_map,
+                      flat_torus, geodesic_distance, log_map, make_manifold,
                       sample_uniform, sphere)
+from rieszlab.energy import pairwise_distances
 from rieszlab.rng import stream
 from oracles import grid_torus_ball_volume
 
@@ -69,9 +70,46 @@ def test_distance_symmetry_and_range(m):
     assert np.all(dab <= m.diameter + 1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("angle", [1e-5, 1e-7, 1e-9])
+def test_sphere_small_angle_distance_matches_mpmath(d, angle):
+    # independent reference: 2 atan2(|x - y|, |x + y|) of the rounded
+    # coordinates at 50 digits; arccos(<x, y>) is off by 4e-8, 4e-4 and 1.0
+    import mpmath
+    m = sphere(d)
+    rng = stream(21, "small-angle")
+    x = m.point(m._sample(rng, 1)[0])
+    v = m._project_tangent(x.coords, rng.standard_normal(m.ambient_dim))
+    y = exp_map(m, m.tangent(x, angle * v / np.linalg.norm(v)))
+    X = PointSet(m, [x.coords, y.coords])
+    with mpmath.workdps(50):
+        xs, ys = ([mpmath.mpf(c) for c in row] for row in X.coords)
+        chord = mpmath.sqrt(sum((b - a) ** 2 for a, b in zip(xs, ys)))
+        wide = mpmath.sqrt(sum((b + a) ** 2 for a, b in zip(xs, ys)))
+        exact = float(2 * mpmath.atan2(chord, wide))
+    for got in (geodesic_distance(m, X.point(0), X.point(1)), pairwise_distances(X)[0],
+                m.pairwise_block(X.coords, X.coords)[0, 1]):
+        assert got == pytest.approx(exact, rel=1e-15, abs=0.0)
+    assert math.isfinite(discrete_energy(X, 1.0))
+
+
 # ----------------------------------------------------------------------
 # ball volumes
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [1e-9, 1e-4, 0.3, 1.5, 3.0, math.pi - 1e-4, math.pi - 1e-7])
+def test_sphere_ball_volume_matches_mpmath(d, r):
+    # 40-digit integral of sin^(d-1) over (0, r), over its value on (0, pi);
+    # (1 - cos r) / 2 cancels to 0.0 on S^2 at r = 1e-9
+    import mpmath
+    with mpmath.workdps(40):
+        rr = mpmath.mpf(r)
+        num = mpmath.quad(lambda t: mpmath.sin(t) ** (d - 1), [0, rr])
+        den = mpmath.quad(lambda t: mpmath.sin(t) ** (d - 1), [0, mpmath.pi])
+        exact = float(num / den)
+    assert ball_volume(sphere(d), r) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
 
 def test_sphere2_whole_manifold():
     assert ball_volume(sphere(2), math.pi) == 1.0
