@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energy import CHUNK_ROWS, _tile_ranges
 from .errors import InputError
 from .manifold import Manifold, Point
 from .parallel import chunk_ranges, map_ordered
@@ -22,8 +23,6 @@ from .rng import stream
 
 SIDE_ABOVE = "above"   # ball closed at the attaining radius
 SIDE_BELOW = "below"   # limit from below the attaining radius
-
-_CENTER_BLOCK = 64
 
 
 @dataclass
@@ -114,11 +113,17 @@ def estimate_discrepancy(X, extra_centers: int | None = None, seed: int = 0,
         extra = m._sample(stream(seed, "discrepancy-centers"), extra_centers)
         centers = np.concatenate([centers, extra], axis=0)
 
-    def work(rng):
-        above, below, _ = _two_sided_values(m, X.coords, centers[slice(*rng)])
-        return np.maximum(above.max(axis=1), below.max(axis=1))
+    def work(chunk):
+        # the thread unit is a chunk, not a tile: tile-sized tasks made two
+        # threads slower than one
+        vals = []
+        for a, b in _tile_ranges(*chunk, X.n):
+            above, below, _ = _two_sided_values(m, X.coords, centers[a:b])
+            vals.append(np.maximum(above.max(axis=1), below.max(axis=1)))
+        return np.concatenate(vals)
 
-    vals = np.concatenate(map_ordered(work, chunk_ranges(len(centers), _CENTER_BLOCK), threads))
+    chunks = chunk_ranges(len(centers), CHUNK_ROWS)
+    vals = np.concatenate(map_ordered(work, chunks, threads))
     k = int(np.argmax(vals))  # first occurrence = smallest center index
     value, radius, side = center_discrepancy(X, Point(centers[k].copy()))
     return DiscrepancyEstimate(

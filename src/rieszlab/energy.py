@@ -2,11 +2,15 @@
 
 The continuous energy is reduced to a one-dimensional radial integral,
 which is exact on the homogeneous manifolds handled here.  Pair sums and
-minima visit each unordered pair once, in upper-triangle row blocks: the
-squared distances (sq_dist) from CHUNK_ROWS consecutive rows to those rows
-and every later point.  Block sums are combined with compensated summation;
-block boundaries do not depend on the thread count and the kernel makes no
-BLAS call, so results agree bit for bit for any number of threads.
+minima visit each unordered pair once, in row chunks of CHUNK_ROWS
+consecutive points: a chunk covers the squared distances (sq_dist) from
+its rows to those rows and every later point.  The chunk is the unit of
+thread work and of compensated summation, so CHUNK_ROWS fixes the bits.
+Each chunk is computed in tiles of whole rows holding about TILE_ELEMS
+entries, so TILE_ELEMS fixes the memory: a pass uses O(TILE_ELEMS + N)
+of it.  Both sizes depend on N only, never on the thread count, and the
+kernel makes no BLAS call, so results agree bit for bit for any number of
+threads.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .parallel import chunk_ranges, map_ordered
 # Fixed row-chunk size for pairwise reductions.  Chunk boundaries (and
 # therefore rounding) must not depend on the thread count.
 CHUNK_ROWS = 256
+# Entries per sq_dist call (128 KiB of float64).  A tile splits the rows,
+# never a row, so every row vector is reduced whole whatever its size.
+TILE_ELEMS = 16384
 
 DEFAULT_QUAD_TOL = 1e-10
 
@@ -58,29 +65,42 @@ def compensated_sum(values) -> float:
     return total
 
 
-def _upper_block(X, lo, hi):
-    """Squared distances (sq_dist) from points lo..hi-1 to points lo..N-1,
-    and the mask of the entries with row < column: entry (i, j) is the pair
-    (lo + i, lo + j)."""
-    Q = X.manifold.sq_dist(X.coords[lo:hi, None, :], X.coords[None, lo:, :])
-    return Q, ~np.tri(*Q.shape, dtype=bool)
+def _tile_ranges(lo, hi, columns):
+    """[start, stop) row ranges over lo..hi-1 with about TILE_ELEMS entries
+    of the given row length each (at least one row)."""
+    step = max(1, TILE_ELEMS // columns)
+    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+
+
+def _upper_tiles(X, lo, hi):
+    """Upper-triangle tiles of the row chunk lo..hi-1, in row order.
+
+    Yields (a, Q, upper): Q the squared distances (sq_dist) from points
+    a..b-1 to points lo..N-1, upper the mask of the entries with row <
+    column, so that entry (i, j) is the pair (a + i, lo + j).
+    """
+    rest = X.coords[None, lo:, :]
+    for a, b in _tile_ranges(lo, hi, X.n - lo):
+        Q = X.manifold.sq_dist(X.coords[a:b, None, :], rest)
+        yield a, Q, ~np.tri(*Q.shape, a - lo, dtype=bool)
 
 
 def _chunk_pair_sum(X, s, lo, hi):
     """Kernel sum over the pairs (i, j) with lo <= i < hi and i < j.
 
-    Each row of the upper-triangle block is summed by numpy's
-    deterministic reduction; the rows of a chunk are then combined with
-    compensated summation.
+    Each row of the upper triangle is summed by numpy's deterministic
+    reduction; the rows of a chunk are then combined with compensated
+    summation.
     """
-    Q, upper = _upper_block(X, lo, hi)
-    bad = upper & (Q <= 0.0)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise DomainError(f"coincident points at indices {lo + int(i)} and {lo + int(j)}")
-    safe = X.manifold.dist_from_sq(np.where(upper, Q, 1.0))
-    kernel = np.where(upper, safe ** (-s), 0.0)
-    return compensated_sum(kernel.sum(axis=1))
+    sums = []
+    for a, Q, upper in _upper_tiles(X, lo, hi):
+        bad = upper & (Q <= 0.0)
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            raise DomainError(f"coincident points at indices {a + int(i)} and {lo + int(j)}")
+        safe = X.manifold.dist_from_sq(np.where(upper, Q, 1.0))
+        sums.append(np.where(upper, safe ** (-s), 0.0).sum(axis=1))
+    return compensated_sum(np.concatenate(sums))
 
 
 def discrete_energy(X, s: float, threads=None) -> float:
@@ -139,9 +159,10 @@ def energy_via_distance_cdf(X, s: float) -> float:
 
 def pairwise_distances(X) -> np.ndarray:
     """All N(N-1)/2 pairwise geodesic distances (upper triangle, row-major),
-    gathered from the upper-triangle row blocks."""
-    blocks = (_upper_block(X, lo, hi) for lo, hi in chunk_ranges(X.n, CHUNK_ROWS))
-    return X.manifold.dist_from_sq(np.concatenate([Q[upper] for Q, upper in blocks]))
+    gathered from the upper-triangle tiles."""
+    chunks = chunk_ranges(X.n, CHUNK_ROWS)
+    return np.concatenate([X.manifold.dist_from_sq(Q[upper]) for lo, hi in chunks
+                           for _, Q, upper in _upper_tiles(X, lo, hi)])
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +291,7 @@ def energy_gradient(X, s: float, cut_margin: float = 1e-12) -> np.ndarray:
     cut = m.injectivity_radius * (1.0 - cut_margin)
     sphere = isinstance(m, Sphere)
     q_cut = 4.0 * math.sin(cut / 2.0) ** 2  # sq_dist at the cut on the sphere
-    for lo, hi in chunk_ranges(n, CHUNK_ROWS):
+    for lo, hi in _tile_ranges(0, n, n):
         x, y = coords[lo:hi, None, :], coords[None, :, :]
         q = m.sq_dist(x, y)
         # deltas[k][i, j] is axis k of y - x for x = point lo + i, y = point j

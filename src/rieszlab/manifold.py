@@ -180,9 +180,9 @@ class Manifold(ABC):
     def dist_from_sq(self, q):
         """Geodesic distance for the sq_dist value q."""
 
+    @abstractmethod
     def volume_from_sq(self, q):
         """Normalized ball volume at the sq_dist values q (any q >= 0)."""
-        return self.ball_volume(self.dist_from_sq(q))
 
     def distances_from(self, y: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Geodesic distances from a single point y to each row of coords."""
@@ -279,8 +279,10 @@ class Sphere(Manifold):
     distances_from = Manifold.distances_from
 
     def dist_from_sq(self, q):
-        # 2 atan2(|x - y|, |x + y|) is accurate at every angle, arccos(<x, y>) is not
-        return 2.0 * np.arctan2(np.sqrt(q), np.sqrt(np.maximum(4.0 - q, 0.0)))
+        # 2 atan(|x - y| / |x + y|) is accurate at every angle, arccos(<x, y>)
+        # is not; q = 4 (or a rounded q > 4) divides by zero into atan(inf) = pi/2
+        with np.errstate(divide="ignore"):
+            return 2.0 * np.arctan(np.sqrt(q / np.maximum(4.0 - q, 0.0)))
 
     def exp_array(self, base, vec):
         theta = np.linalg.norm(vec, axis=1)
@@ -353,6 +355,19 @@ class FlatTorus(Manifold):
     def dist_from_sq(self, q):
         return np.sqrt(q)
 
+    def volume_from_sq(self, q):
+        # c_d q^(d/2) up to the injectivity radius (q <= 1/4); beyond it the
+        # clipped-ball formulas, on those entries only
+        arr = np.asarray(q, dtype=float)
+        q = np.atleast_1d(arr)
+        top = self.dim / 4.0  # the squared diameter
+        out = _unit_ball_volume(self.dim) * q ** (self.dim / 2.0)
+        big = (q > 0.25) & (q < top)
+        if np.any(big):
+            out[big] = self._large_ball_volume(np.sqrt(q[big]))
+        out[q >= top] = 1.0
+        return float(out[0]) if arr.ndim == 0 else out
+
     def exp_array(self, base, vec):
         return self._normalize(base + vec)
 
@@ -371,15 +386,17 @@ class FlatTorus(Manifold):
         out[small] = euclidean_ball_volume(d, r[small])
         big = ~small
         if np.any(big):
-            if d == 2:
-                out[big] = self._t2_large(r[big])
-            elif d == 3:
-                out[big] = self._t3_large(r[big])
-            else:
-                raise InputError(
-                    f"torus ball volume for r > 1/2 is only supported for d <= 3 (d={d})"
-                )
+            out[big] = self._large_ball_volume(r[big])
         return out
+
+    def _large_ball_volume(self, r):
+        """Ball volume for radii in (1/2, diameter)."""
+        if self.dim == 2:
+            return self._t2_large(r)
+        if self.dim == 3:
+            return self._t3_large(r)
+        raise InputError(
+            f"torus ball volume for r > 1/2 is only supported for d <= 3 (d={self.dim})")
 
     @staticmethod
     def _t2_large(r):
@@ -460,9 +477,13 @@ def euclidean_ball_volume(d: int, r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise InputError("ball radius must be >= 0")
-    c_d = math.pi ** (d / 2.0) / special.gamma(d / 2.0 + 1.0)
-    out = c_d * arr ** d
+    out = _unit_ball_volume(d) * arr ** d
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
+
+
+def _unit_ball_volume(d: int) -> float:
+    """c_d = pi^(d/2) / Gamma(d/2 + 1), the volume of the Euclidean unit d-ball."""
+    return math.pi ** (d / 2.0) / special.gamma(d / 2.0 + 1.0)
 
 
 def sample_uniform(m: Manifold, seed: int, n: int):

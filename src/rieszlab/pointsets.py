@@ -93,18 +93,18 @@ class SeparationReport:
 
 
 def _brute_min(X: PointSet):
-    """Smallest distance over the upper-triangle row blocks, with the
-    lexicographically smallest pair attaining it: blocks run in row order,
-    argmin takes the first entry of a block, and a later block wins only
-    on a strictly smaller squared distance."""
+    """Smallest distance over the upper-triangle tiles, with the
+    lexicographically smallest pair attaining it: tiles run in row order,
+    argmin takes the first entry of a tile, and a later tile wins only on
+    a strictly smaller squared distance."""
     best = math.inf
     best_pair = (-1, -1)
     for lo, hi in chunk_ranges(X.n, _energy.CHUNK_ROWS):
-        Q, upper = _energy._upper_block(X, lo, hi)
-        masked = np.where(upper, Q, math.inf)
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        if masked[i, j] < best:
-            best, best_pair = masked[i, j], (lo + int(i), lo + int(j))
+        for a, Q, upper in _energy._upper_tiles(X, lo, hi):
+            masked = np.where(upper, Q, math.inf)
+            i, j = np.unravel_index(np.argmin(masked), masked.shape)
+            if masked[i, j] < best:
+                best, best_pair = masked[i, j], (a + int(i), lo + int(j))
     return float(X.manifold.dist_from_sq(best)), best_pair
 
 

@@ -34,3 +34,26 @@ def grid_torus_ball_volume(dim, cells=256):
         return np.searchsorted(dist, r, side="right") / dist.size
 
     return vol
+
+
+def torus_ball_volume_mp(dim, q):
+    """Volume of the ball of squared radius q on T^dim, as mpmath nested
+    quadrature of the ball's slices across the centered unit cube: the
+    slice at height x of {|p|^2 <= q} is the (dim-1)-ball of squared
+    radius q - x^2.  Breakpoints sit where a slice's radius crosses a face
+    or an edge of the cube (squared radius 1/4 and 1/2)."""
+    import mpmath as mp
+
+    half = mp.mpf(1) / 2
+
+    def measure(d, q):
+        if q <= 0:
+            return mp.mpf(0)
+        top = min(half, mp.sqrt(q))
+        if d == 1:
+            return 2 * top
+        kinks = [mp.sqrt(q - mp.mpf(k) / 4) for k in range(1, d) if q > mp.mpf(k) / 4]
+        points = [0] + sorted(x for x in kinks if x < top) + [top]
+        return 2 * mp.quad(lambda x: measure(d - 1, q - x * x), points)
+
+    return measure(dim, mp.mpf(q))

@@ -9,7 +9,7 @@ from rieszlab import (DomainError, InputError, PointSet, ball_volume,
                       sample_uniform, sphere)
 from rieszlab.energy import pairwise_distances
 from rieszlab.rng import stream
-from oracles import grid_torus_ball_volume
+from oracles import grid_torus_ball_volume, torus_ball_volume_mp
 
 ALL_MANIFOLDS = [sphere(1), sphere(2), sphere(3), flat_torus(1), flat_torus(2), flat_torus(3)]
 
@@ -93,6 +93,22 @@ def test_sphere_small_angle_distance_matches_mpmath(d, angle):
     assert math.isfinite(discrete_energy(X, 1.0))
 
 
+def test_sphere_dist_from_sq_matches_mpmath():
+    # independent reference: 2 asin(sqrt(q) / 2) of the rounded q at 40
+    # digits, on small chords, near-antipodal chords and uniform ones
+    import mpmath
+    m = sphere(2)
+    rng = stream(23, "dist-from-sq")
+    q = np.concatenate([np.geomspace(1e-30, 4.0, 2500), 4.0 - np.geomspace(1e-15, 2.0, 1000),
+                        4.0 * (1.0 - rng.random(2500))])
+    with mpmath.workdps(40):
+        exact = np.array([float(2 * mpmath.asin(mpmath.sqrt(mpmath.mpf(v)) / 2)) for v in q])
+    assert np.all(np.abs(m.dist_from_sq(q) - exact) <= 2 * np.spacing(exact))
+    assert m.dist_from_sq(2.0) == math.pi / 2
+    assert m.dist_from_sq(4.0) == math.pi
+    assert np.all(m.dist_from_sq(np.array([4.0, 4.0 + 8e-16])) == math.pi)
+
+
 # ----------------------------------------------------------------------
 # ball volumes
 # ----------------------------------------------------------------------
@@ -157,6 +173,26 @@ def test_torus_large_radius_against_grid_oracle(d):
     vol = grid_torus_ball_volume(d, cells=256 if d == 2 else 96)
     for r in np.linspace(0.51, m.diameter - 0.01, 7):
         assert ball_volume(m, r) == pytest.approx(vol(r), abs=2e-3)
+
+
+@pytest.mark.parametrize("d, qs", [
+    (1, [0.0, 0.01, 0.2, 0.25 - 1e-12]),
+    (2, [0.0, 0.2, 0.25 - 1e-12, 0.25, 0.25 + 1e-12, 0.3, 0.45]),
+    (3, [0.0, 0.2, 0.25 - 1e-12, 0.25 + 1e-12, 0.45, 0.55, 0.7]),
+])
+def test_torus_volume_from_sq_matches_mpmath(d, qs):
+    # independent reference: nested mpmath quadrature of the ball's slices
+    # across the unit cube, on both sides of q = 1/4 (the injectivity radius)
+    import mpmath
+    m = flat_torus(d)
+    with mpmath.workdps(20):
+        exact = [float(torus_ball_volume_mp(d, q)) for q in qs]
+    assert m.volume_from_sq(np.array(qs)) == pytest.approx(exact, rel=1e-15, abs=0.0)
+    # the squared diameter (every axis delta 1/2), and anything rounded past
+    # it, is the whole torus
+    top = d / 4.0
+    assert np.all(m.volume_from_sq(np.array([top, top * (1 + 2e-16)])) == 1.0)
+    assert m.volume_from_sq(top) == 1.0
 
 
 def test_torus_large_radius_unsupported_dimension():
