@@ -72,35 +72,51 @@ def _tile_ranges(lo, hi, columns):
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
-def _upper_tiles(X, lo, hi):
+def _columns(coords):
+    """The (1, N, d) column operand of sq_dist, laid out so that each axis
+    coords[:, k] is contiguous; made once per pass, read by every tile."""
+    return coords.T.copy().T[None]
+
+
+def _upper_mask(Q, a, lo):
+    """Mask of the entries (i, j) of Q, the squared distances from points
+    a, a+1, ... to points lo, lo+1, ..., that are pairs with a + i < lo + j."""
+    return ~np.tri(*Q.shape, a - lo, dtype=bool)
+
+
+def _upper_tiles(X, lo, hi, cols):
     """Upper-triangle tiles of the row chunk lo..hi-1, in row order.
 
     Yields (a, Q, upper): Q the squared distances (sq_dist) from points
-    a..b-1 to points lo..N-1, upper the mask of the entries with row <
-    column, so that entry (i, j) is the pair (a + i, lo + j).
+    a..b-1 to points lo..N-1, upper its _upper_mask, so that entry (i, j)
+    is the pair (a + i, lo + j).  cols is _columns(X.coords).
     """
-    rest = X.coords[None, lo:, :]
+    rest = cols[:, lo:]
     for a, b in _tile_ranges(lo, hi, X.n - lo):
         Q = X.manifold.sq_dist(X.coords[a:b, None, :], rest)
-        yield a, Q, ~np.tri(*Q.shape, a - lo, dtype=bool)
+        yield a, Q, _upper_mask(Q, a, lo)
 
 
-def _chunk_pair_sum(X, s, lo, hi):
-    """Kernel sum over the pairs (i, j) with lo <= i < hi and i < j.
+def _tile_row_sums(m, s, a, lo, Q, upper):
+    """Kernel sum of each row of the upper-triangle tile (a, Q, upper) of
+    the chunk starting at lo, by numpy's deterministic row reduction.
 
-    Each row of the upper triangle is summed by numpy's deterministic
-    reduction; the rows of a chunk are then combined with compensated
-    summation.
+    Coincident points raise a DomainError naming their global indices.
     """
-    sums = []
-    for a, Q, upper in _upper_tiles(X, lo, hi):
-        bad = upper & (Q <= 0.0)
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            raise DomainError(f"coincident points at indices {a + int(i)} and {lo + int(j)}")
-        safe = X.manifold.dist_from_sq(np.where(upper, Q, 1.0))
-        sums.append(np.where(upper, safe ** (-s), 0.0).sum(axis=1))
-    return compensated_sum(np.concatenate(sums))
+    bad = upper & (Q <= 0.0)
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise DomainError(f"coincident points at indices {a + int(i)} and {lo + int(j)}")
+    safe = m.dist_from_sq(np.where(upper, Q, 1.0))
+    return np.where(upper, safe ** (-s), 0.0).sum(axis=1)
+
+
+def _chunk_pair_sum(X, s, cols, lo, hi):
+    """Kernel sum over the pairs (i, j) with lo <= i < hi and i < j: the
+    row sums of the chunk's tiles, combined with compensated summation."""
+    return compensated_sum(np.concatenate([
+        _tile_row_sums(X.manifold, s, a, lo, Q, upper)
+        for a, Q, upper in _upper_tiles(X, lo, hi, cols)]))
 
 
 def discrete_energy(X, s: float, threads=None) -> float:
@@ -115,8 +131,9 @@ def discrete_energy(X, s: float, threads=None) -> float:
     n = X.n
     if n < 2:
         return 0.0
+    cols = _columns(X.coords)
     chunks = chunk_ranges(n, CHUNK_ROWS)
-    partials = map_ordered(lambda rng: _chunk_pair_sum(X, s, *rng), chunks, threads)
+    partials = map_ordered(lambda rng: _chunk_pair_sum(X, s, cols, *rng), chunks, threads)
     return 2.0 * compensated_sum(partials) / (n * n)
 
 
@@ -160,9 +177,10 @@ def energy_via_distance_cdf(X, s: float) -> float:
 def pairwise_distances(X) -> np.ndarray:
     """All N(N-1)/2 pairwise geodesic distances (upper triangle, row-major),
     gathered from the upper-triangle tiles."""
+    cols = _columns(X.coords)
     chunks = chunk_ranges(X.n, CHUNK_ROWS)
     return np.concatenate([X.manifold.dist_from_sq(Q[upper]) for lo, hi in chunks
-                           for _, Q, upper in _upper_tiles(X, lo, hi)])
+                           for _, Q, upper in _upper_tiles(X, lo, hi, cols)])
 
 
 # ----------------------------------------------------------------------
@@ -291,8 +309,9 @@ def energy_gradient(X, s: float, cut_margin: float = 1e-12) -> np.ndarray:
     cut = m.injectivity_radius * (1.0 - cut_margin)
     sphere = isinstance(m, Sphere)
     q_cut = 4.0 * math.sin(cut / 2.0) ** 2  # sq_dist at the cut on the sphere
+    y = _columns(coords)
     for lo, hi in _tile_ranges(0, n, n):
-        x, y = coords[lo:hi, None, :], coords[None, :, :]
+        x = coords[lo:hi, None, :]
         q = m.sq_dist(x, y)
         # deltas[k][i, j] is axis k of y - x for x = point lo + i, y = point j
         deltas = [m._axis_delta(y[..., k] - x[..., k]) for k in range(m.ambient_dim)]

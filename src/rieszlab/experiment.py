@@ -1,6 +1,11 @@
 """N-sweep harness: energies, discrepancy and separation across a
 geometric schedule, with log-log rate fits.
 
+Each row takes its discrete energy, brute-force separation and
+discrepancy estimate from one tiled pass over the point set
+(discrepancy._tiled_pass), bit for bit as discrete_energy,
+min_geodesic_distance and estimate_discrepancy give them.
+
 The discrepancy column is the finite-center lower bound, not the true
 supremum; the fitted constants inherit that caveat and every emitted
 report carries it verbatim.
@@ -16,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import estimate_discrepancy
-from .energy import check_exponent, continuous_energy, discrete_energy
-from .errors import InputError
+from .discrepancy import _tiled_pass
+from .energy import check_exponent, continuous_energy
+from .errors import DomainError, InputError
 from .manifold import Manifold
-from .pointsets import generate_pointset, min_geodesic_distance
+from .pointsets import generate_pointset
 from .verify import energy_rate_exponent
 
 CSV_COLUMNS = ["N", "energy_discrete", "energy_continuous", "gap",
@@ -189,12 +194,10 @@ def run_rate_experiment(cfg: RateExperimentConfig, threads=None) -> RateReport:
         row_seed = cfg.seed * 100003 + idx
         pool = int(cfg.generator_params.get("candidate_pool", 10 * n))
         X = generate_pointset(m, cfg.generator, int(n), row_seed, candidate_pool=pool)
-        sep = min_geodesic_distance(X)
-        if sep.has_duplicates:
-            raise InputError(f"generator produced coincident points at N={n}")
-        e_disc = discrete_energy(X, cfg.s, threads=threads)
-        disc = estimate_discrepancy(X, extra_centers=cfg.extra_centers,
-                                    seed=row_seed, threads=threads)
+        try:
+            disc, e_disc, sep = _tiled_pass(X, cfg.extra_centers, row_seed, threads, cfg.s)
+        except DomainError as exc:  # the energy meets a coincident pair first
+            raise InputError(f"generator produced coincident points at N={n}") from exc
         rows.append(RateRow(
             n=int(n),
             energy_discrete=float(e_disc),

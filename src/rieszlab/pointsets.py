@@ -92,20 +92,28 @@ class SeparationReport:
         }
 
 
+def _tile_min(a, lo, Q, upper):
+    """Smallest squared distance of the upper-triangle tile (a, Q, upper)
+    of the chunk starting at lo, with the first pair attaining it in row
+    order: (q, (i, j))."""
+    masked = np.where(upper, Q, math.inf)
+    i, j = np.unravel_index(np.argmin(masked), masked.shape)
+    return masked[i, j], (a + int(i), lo + int(j))
+
+
+def _first_min(candidates):
+    """The first (q, pair) with the smallest q.  Over tiles in row order
+    this is the lexicographically smallest pair attaining the minimum."""
+    return min(candidates, key=lambda c: c[0])
+
+
 def _brute_min(X: PointSet):
-    """Smallest distance over the upper-triangle tiles, with the
-    lexicographically smallest pair attaining it: tiles run in row order,
-    argmin takes the first entry of a tile, and a later tile wins only on
-    a strictly smaller squared distance."""
-    best = math.inf
-    best_pair = (-1, -1)
-    for lo, hi in chunk_ranges(X.n, _energy.CHUNK_ROWS):
-        for a, Q, upper in _energy._upper_tiles(X, lo, hi):
-            masked = np.where(upper, Q, math.inf)
-            i, j = np.unravel_index(np.argmin(masked), masked.shape)
-            if masked[i, j] < best:
-                best, best_pair = masked[i, j], (a + int(i), lo + int(j))
-    return float(X.manifold.dist_from_sq(best)), best_pair
+    """Smallest squared distance over the upper-triangle tiles, and its
+    lexicographically smallest pair."""
+    cols = _energy._columns(X.coords)
+    return _first_min(_tile_min(a, lo, Q, upper)
+                      for lo, hi in chunk_ranges(X.n, _energy.CHUNK_ROWS)
+                      for a, Q, upper in _energy._upper_tiles(X, lo, hi, cols))
 
 
 def _grid_min(X: PointSet):
@@ -126,7 +134,7 @@ def _grid_min(X: PointSet):
     pairs = tree.query_pairs(near * (1.0 + 1e-12), output_type="ndarray")
     q = m.sq_dist(coords[pairs[:, 0]], coords[pairs[:, 1]])
     best = q.min()
-    return float(m.dist_from_sq(best)), min(map(tuple, pairs[q == best].tolist()))
+    return best, min(map(tuple, pairs[q == best].tolist()))
 
 
 def min_geodesic_distance(X: PointSet, method: str = "brute") -> SeparationReport:
@@ -139,11 +147,17 @@ def min_geodesic_distance(X: PointSet, method: str = "brute") -> SeparationRepor
     if X.n < 2:
         raise InputError("separation needs at least 2 points")
     if method == "brute":
-        best, pair = _brute_min(X)
+        q, pair = _brute_min(X)
     elif method == "grid":
-        best, pair = _grid_min(X)
+        q, pair = _grid_min(X)
     else:
         raise InputError(f"unknown separation method {method!r}")
+    return _separation_report(X, q, pair)
+
+
+def _separation_report(X: PointSet, q, pair) -> SeparationReport:
+    """The report for the smallest squared distance q, attained at pair."""
+    best = float(X.manifold.dist_from_sq(q))
     d = X.manifold.dim
     return SeparationReport(
         n=X.n,

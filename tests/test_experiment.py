@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import (InputError, RateExperimentConfig, fit_loglog, flat_torus,
-                      geometric_schedule, run_rate_experiment, sphere)
+from rieszlab import (InputError, PointSet, RateExperimentConfig, fit_loglog,
+                      flat_torus, geometric_schedule, run_rate_experiment, sphere)
+from rieszlab import experiment
+from rieszlab.cli import cli_dispatch
 from rieszlab.experiment import CSV_COLUMNS, LOWER_BOUND_CAVEAT
 
 
@@ -113,6 +115,30 @@ def test_generator_manifold_mismatch():
         run_rate_experiment(small_config(manifold=flat_torus(2)))
     with pytest.raises(InputError):
         run_rate_experiment(small_config(manifold=flat_torus(2), generator="nonsense"))
+
+
+def test_coincident_generator_output_is_an_input_error(monkeypatch, tmp_path, capsys):
+    real = experiment.generate_pointset
+
+    def duplicated_at_64(m, generator, n, seed, candidate_pool=None):
+        X = real(m, generator, n, seed, candidate_pool=candidate_pool)
+        if n != 64:
+            return X
+        coords = X.coords.copy()
+        coords[40] = coords[10]
+        return PointSet(m, coords, X.provenance)
+
+    monkeypatch.setattr(experiment, "generate_pointset", duplicated_at_64)
+    cfg = RateExperimentConfig(manifold=flat_torus(2), s=1.0, generator="kronecker",
+                               ns=[32, 64, 128])
+    with pytest.raises(InputError, match=r"generator produced coincident points at N=64$"):
+        run_rate_experiment(cfg)
+    path = tmp_path / "cfg.txt"
+    path.write_text("manifold=torus\ndim=2\ns=1.0\ngenerator=kronecker\nns=32,64,128\n")
+    code = cli_dispatch(["rate", "--config", str(path), "--out-csv", str(tmp_path / "o.csv"),
+                         "--out-json", str(tmp_path / "o.json")])
+    assert code == 1
+    assert "coincident points at N=64" in capsys.readouterr().err
 
 
 def test_schedule_validation():

@@ -11,10 +11,12 @@ from rieszlab import (DomainError, PointSet, discrete_energy, energy_gradient,
                       kronecker_torus, min_geodesic_distance, sample_uniform,
                       sphere)
 from rieszlab import energy
+from rieszlab.discrepancy import _tiled_pass
 from rieszlab.energy import pairwise_distances
 
 SETS = {
     "S2": lambda n: sample_uniform(sphere(2), 31, n),
+    "S3": lambda n: sample_uniform(sphere(3), 33, n),
     "T2": lambda n: sample_uniform(flat_torus(2), 32, n),
     "T3": lambda n: kronecker_torus(3, n),
 }
@@ -33,8 +35,21 @@ def _results(X, threads, discrepancy):
         "gradient": _bytes(energy_gradient(X, 1.0)),
     }
     if discrepancy:
+        # 37 extra centers: for N = 517 the last chunk and a tile cross N
         est = estimate_discrepancy(X, extra_centers=37, seed=4, threads=threads)
         out["discrepancy"] = (_bytes(est.value, est.radius), est.center_index, est.side)
+        est_row, e_row, sep_row = _tiled_pass(X, 37, 4, threads, 1.0)
+        out["sweep_row"] = {
+            "energy": _bytes(e_row),
+            "separation": (_bytes(sep_row.min_distance, sep_row.gamma_hat), sep_row.pair),
+            "discrepancy": (_bytes(est_row.value, est_row.radius), est_row.center_index,
+                            est_row.side),
+        }
+        assert out["sweep_row"] == {
+            "energy": out["energy"],
+            "separation": (_bytes(sep.min_distance, sep.gamma_hat), sep.pair),
+            "discrepancy": out["discrepancy"],
+        }
     return out
 
 
@@ -74,6 +89,7 @@ def test_pass_memory_flat_in_n(make, n):
         "energy": lambda: discrete_energy(X, 1.0),
         "separation": lambda: min_geodesic_distance(X),
         "discrepancy": lambda: estimate_discrepancy(X, extra_centers=0),
+        "sweep_row": lambda: _tiled_pass(X, 0, 0, None, 1.0),
         "gradient": lambda: energy_gradient(X, 1.0),
     }
     peaks = {}
