@@ -54,6 +54,15 @@ def save_pointset(X: PointSet, path: str) -> None:
             fh.write(text)
 
 
+def _number(key: str, value: str, kind):
+    """value converted by kind (int or float); a malformed value is an
+    InputError that names its key."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise InputError(f"{key}={value!r} is not a valid {kind.__name__}") from exc
+
+
 def parse_pointset(text: str) -> PointSet:
     header: dict = {}
     rows = []
@@ -76,8 +85,8 @@ def parse_pointset(text: str) -> PointSet:
             raise InputError(f"point-set file is missing the {key}= header")
     if header.get("format", str(FORMAT_VERSION)) != str(FORMAT_VERSION):
         raise InputError(f"unsupported point-set format {header.get('format')!r}")
-    m = make_manifold(header["manifold"], int(header["dim"]))
-    n = int(header["n"])
+    m = make_manifold(header["manifold"], _number("dim", header["dim"], int))
+    n = _number("n", header["n"], int)
     if len(rows) != n:
         raise InputError(f"header says n={n} but the file has {len(rows)} rows")
     coords = np.array(rows, dtype=float)
@@ -87,7 +96,7 @@ def parse_pointset(text: str) -> PointSet:
     _warn_on_drift(m, coords)
     prov = {"generator": header.get("generator", "unknown")}
     if header.get("seed", "") not in ("", "None"):
-        prov["seed"] = int(header["seed"])
+        prov["seed"] = _number("seed", header["seed"], int)
     return PointSet(m, coords, provenance=prov)
 
 
@@ -236,24 +245,25 @@ def parse_rate_config(text: str) -> RateExperimentConfig:
     for key in ("manifold", "dim", "s", "generator"):
         if key not in values:
             raise InputError(f"config is missing required key {key}")
-    m = make_manifold(values["manifold"], int(values["dim"]))
+    m = make_manifold(values["manifold"], _number("dim", values["dim"], int))
     if "ns" in values:
-        ns = [int(tok) for tok in values["ns"].split(",") if tok.strip()]
+        ns = [_number("ns", tok.strip(), int) for tok in values["ns"].split(",") if tok.strip()]
     elif "n_min" in values and "n_max" in values:
-        ns = geometric_schedule(int(values["n_min"]), int(values["n_max"]))
+        ns = geometric_schedule(_number("n_min", values["n_min"], int),
+                                _number("n_max", values["n_max"], int))
     else:
         raise InputError("config needs either ns=a,b,c or n_min=/n_max=")
     params = {}
     if "candidate_pool" in values:
-        params["candidate_pool"] = int(values["candidate_pool"])
+        params["candidate_pool"] = _number("candidate_pool", values["candidate_pool"], int)
     return RateExperimentConfig(
         manifold=m,
-        s=float(values["s"]),
+        s=_number("s", values["s"], float),
         generator=values["generator"],
         ns=ns,
-        extra_centers=int(values.get("extra_centers", 0)),
-        seed=int(values.get("seed", 0)),
-        quad_tol=float(values.get("quad_tol", 1e-10)),
+        extra_centers=_number("extra_centers", values.get("extra_centers", "0"), int),
+        seed=_number("seed", values.get("seed", "0"), int),
+        quad_tol=_number("quad_tol", values.get("quad_tol", "1e-10"), float),
         generator_params=params,
     )
 

@@ -8,12 +8,10 @@ The estimator takes the maximum over a finite center set (all code points
 plus seeded uniform extras) and is therefore a certified lower bound on
 the true discrepancy, never an upper one.
 
-The centers are walked in 256-row chunks (CHUNK_ROWS), each computed in
-tiles of whole rows of squared distances (sq_dist) to all N code points.
-For a code-point row those distances, from the chunk start on, are the
-upper-triangle tile of the energy and separation passes, so the rate
-sweep takes its energy, separation and discrepancy from one pass, with
-the bits of the three separate calls.
+The jump values come from energy._chunked_pass, the one chunked, tiled
+pass over squared distances (sq_dist), with the centers as its rows.  The
+rate sweep asks the same pass for the energy and the separation too, so
+its row equals the three separate calls by construction.
 """
 
 from __future__ import annotations
@@ -22,12 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (CHUNK_ROWS, _columns, _tile_ranges, _tile_row_sums, _upper_mask,
-                     compensated_sum)
+from .energy import _chunked_pass, _jump_values
 from .errors import InputError
-from .manifold import Manifold, Point
-from .parallel import chunk_ranges, map_ordered
-from .pointsets import _first_min, _separation_report, _tile_min
+from .manifold import Point
+from .pointsets import _separation_report
 from .rng import stream
 
 SIDE_ABOVE = "above"   # ball closed at the attaining radius
@@ -68,23 +64,6 @@ def ball_count(X, y: Point, r: float) -> int:
     return int(np.count_nonzero(d <= r))
 
 
-def _jump_values(m: Manifold, Q: np.ndarray):
-    """Jump values |empirical - volume| for a block of centers.
-
-    Q holds the squared distances (sq_dist) from each center to the N code
-    points, one row per center; it is sorted in place.  Returns (above,
-    below): above[c, i] is the value with the ball closed at the i-th
-    sorted distance, below[c, i] the one-sided limit from beneath it.
-    """
-    n = Q.shape[1]
-    Q.sort(axis=1)
-    V = m.volume_from_sq(Q)
-    counts = np.arange(1, n + 1, dtype=float) / n
-    above = counts[None, :] - V
-    below = V - (counts[None, :] - 1.0 / n)
-    return above, below
-
-
 def center_discrepancy(X, y: Point):
     """Exact sup over r > 0 of |empirical - volume| measure of B(y, r)
     for the fixed center y.
@@ -104,16 +83,10 @@ def center_discrepancy(X, y: Point):
 
 
 def _tiled_pass(X, extra_centers: int | None, seed: int, threads, s: float | None = None):
-    """One tiled pass over the centers: the N code points, then
-    extra_centers seeded uniform ones (default 4N).
-
-    Each tile computes the full rows Q = sq_dist(center rows, code points)
-    for the jump values.  With s given, the code-point rows of Q from the
-    chunk start on, which are the upper-triangle tile of the symmetric
-    pair passes, also feed the energy row sums and the separation minimum
-    before Q is sorted.  Chunks, tiles and the order of every reduction
-    are those of discrete_energy and the brute-force separation, so the
-    results agree with theirs bit for bit.
+    """One energy._chunked_pass over the centers: the N code points, then
+    extra_centers seeded uniform ones (default 4N).  With s given, the
+    same pass also reduces the energy and the brute-force separation, so
+    the results are those of the separate calls by construction.
 
     Returns (estimate, energy, separation): the DiscrepancyEstimate, the
     discrete_energy and the brute-force min_geodesic_distance report, the
@@ -124,45 +97,16 @@ def _tiled_pass(X, extra_centers: int | None, seed: int, threads, s: float | Non
         extra_centers = 4 * X.n
     if extra_centers < 0:
         raise InputError("extra_centers must be >= 0")
-    m, n = X.manifold, X.n
-    centers = X.coords
-    if extra_centers:
-        extra = m._sample(stream(seed, "discrepancy-centers"), extra_centers)
-        centers = np.concatenate([centers, extra], axis=0)
-    cols = _columns(X.coords)
-
-    def work(chunk):
-        # the thread unit is a chunk, not a tile: tile-sized tasks made two
-        # threads slower than one
-        lo, hi = chunk
-        vals, sums, mins = [], [], []
-        for a, b in _tile_ranges(lo, hi, n):
-            Q = m.sq_dist(centers[a:b, None, :], cols)
-            if s is not None and a < n:  # rows from n on are extra centers
-                T = Q[:min(b, n) - a, lo:]
-                upper = _upper_mask(T, a, lo)
-                sums.append(_tile_row_sums(m, s, a, lo, T, upper))
-                mins.append(_tile_min(a, lo, T, upper))
-            above, below = _jump_values(m, Q)
-            vals.append(np.maximum(above.max(axis=1), below.max(axis=1)))
-        if not sums:
-            return np.concatenate(vals), None, None
-        return np.concatenate(vals), compensated_sum(np.concatenate(sums)), _first_min(mins)
-
-    results = map_ordered(work, chunk_ranges(len(centers), CHUNK_ROWS), threads)
-    energy = separation = None
-    if s is not None:
-        # the chunks below n are the chunks of discrete_energy
-        pair_chunks = [r for r in results if r[1] is not None]
-        energy = 2.0 * compensated_sum(r[1] for r in pair_chunks) / (n * n)
-        separation = _separation_report(X, *_first_min(r[2] for r in pair_chunks))
-    vals = np.concatenate([r[0] for r in results])
-    k = int(np.argmax(vals))  # first occurrence = smallest center index
-    value, radius, side = center_discrepancy(X, Point(centers[k].copy()))
+    n = X.n
+    extra = X.manifold._sample(stream(seed, "discrepancy-centers"), extra_centers)
+    result = _chunked_pass(X, s=s, separation=s is not None, extra=extra, threads=threads)
+    k = int(np.argmax(result.jumps))  # first occurrence = smallest center index
+    center = Point((X.coords[k] if k < n else extra[k - n]).copy())
+    value, radius, side = center_discrepancy(X, center)
     estimate = DiscrepancyEstimate(
         n=n,
         value=value,
-        center=Point(centers[k].copy()),
+        center=center,
         center_index=k,
         radius=radius,
         side=side,
@@ -173,7 +117,8 @@ def _tiled_pass(X, extra_centers: int | None, seed: int, threads, s: float | Non
         },
         provenance=dict(X.provenance),
     )
-    return estimate, energy, separation
+    separation = None if s is None else _separation_report(X, *result.separation)
+    return estimate, result.energy, separation
 
 
 def estimate_discrepancy(X, extra_centers: int | None = None, seed: int = 0,

@@ -1,21 +1,26 @@
 """Riesz kernel, discrete and continuous energies, mean potentials.
 
 The continuous energy is reduced to a one-dimensional radial integral,
-which is exact on the homogeneous manifolds handled here.  Pair sums and
-minima visit each unordered pair once, in row chunks of CHUNK_ROWS
-consecutive points: a chunk covers the squared distances (sq_dist) from
-its rows to those rows and every later point.  The chunk is the unit of
-thread work and of compensated summation, so CHUNK_ROWS fixes the bits.
-Each chunk is computed in tiles of whole rows holding about TILE_ELEMS
-entries, so TILE_ELEMS fixes the memory: a pass uses O(TILE_ELEMS + N)
-of it.  Both sizes depend on N only, never on the thread count, and the
-kernel makes no BLAS call, so results agree bit for bit for any number of
+which is exact on the homogeneous manifolds handled here.
+
+The energy, the brute-force separation, the pairwise distances and the
+discrepancy jump values all come from _chunked_pass, the one chunked,
+tiled pass over the squared distances (sq_dist).  It walks its rows in
+chunks of CHUNK_ROWS consecutive points; the chunk is the unit of thread
+work and of compensated summation, so CHUNK_ROWS fixes the bits.  Pair
+reductions visit each unordered pair once: a chunk's rows against those
+rows and every later point.  Each chunk is computed in tiles of whole
+rows holding about TILE_ELEMS entries, so TILE_ELEMS fixes the memory: a
+pass uses O(TILE_ELEMS + N) of it.  Both sizes depend on N only, never on
+the thread count (RIESZ_THREADS or a threads argument), and the kernel
+makes no BLAS call, so results agree bit for bit for any number of
 threads.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,25 +83,6 @@ def _columns(coords):
     return coords.T.copy().T[None]
 
 
-def _upper_mask(Q, a, lo):
-    """Mask of the entries (i, j) of Q, the squared distances from points
-    a, a+1, ... to points lo, lo+1, ..., that are pairs with a + i < lo + j."""
-    return ~np.tri(*Q.shape, a - lo, dtype=bool)
-
-
-def _upper_tiles(X, lo, hi, cols):
-    """Upper-triangle tiles of the row chunk lo..hi-1, in row order.
-
-    Yields (a, Q, upper): Q the squared distances (sq_dist) from points
-    a..b-1 to points lo..N-1, upper its _upper_mask, so that entry (i, j)
-    is the pair (a + i, lo + j).  cols is _columns(X.coords).
-    """
-    rest = cols[:, lo:]
-    for a, b in _tile_ranges(lo, hi, X.n - lo):
-        Q = X.manifold.sq_dist(X.coords[a:b, None, :], rest)
-        yield a, Q, _upper_mask(Q, a, lo)
-
-
 def _tile_row_sums(m, s, a, lo, Q, upper):
     """Kernel sum of each row of the upper-triangle tile (a, Q, upper) of
     the chunk starting at lo, by numpy's deterministic row reduction.
@@ -111,12 +97,91 @@ def _tile_row_sums(m, s, a, lo, Q, upper):
     return np.where(upper, safe ** (-s), 0.0).sum(axis=1)
 
 
-def _chunk_pair_sum(X, s, cols, lo, hi):
-    """Kernel sum over the pairs (i, j) with lo <= i < hi and i < j: the
-    row sums of the chunk's tiles, combined with compensated summation."""
-    return compensated_sum(np.concatenate([
-        _tile_row_sums(X.manifold, s, a, lo, Q, upper)
-        for a, Q, upper in _upper_tiles(X, lo, hi, cols)]))
+def _tile_min(a, lo, Q, upper):
+    """Smallest squared distance of the upper-triangle tile (a, Q, upper)
+    of the chunk starting at lo, with the first pair attaining it in row
+    order: (q, (i, j))."""
+    masked = np.where(upper, Q, math.inf)
+    i, j = np.unravel_index(np.argmin(masked), masked.shape)
+    return masked[i, j], (a + int(i), lo + int(j))
+
+
+def _jump_values(m: Manifold, Q: np.ndarray):
+    """Jump values |empirical - volume| for a block of centers.
+
+    Q holds the squared distances (sq_dist) from each center to the N code
+    points, one row per center; it is sorted in place.  Returns (above,
+    below): above[c, i] is the value with the ball closed at the i-th
+    sorted distance, below[c, i] the one-sided limit from beneath it.
+    """
+    n = Q.shape[1]
+    Q.sort(axis=1)
+    V = m.volume_from_sq(Q)
+    counts = np.arange(1, n + 1, dtype=float) / n
+    above = counts[None, :] - V
+    below = V - (counts[None, :] - 1.0 / n)
+    return above, below
+
+
+# What _chunked_pass returns; a reduction not asked for is None.
+_PassResult = namedtuple("_PassResult", "energy separation distances jumps")
+
+
+def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
+                  threads=None) -> _PassResult:
+    """The one chunked, tiled pass over the squared distances (sq_dist)
+    of the point set X, with only the reductions asked for:
+
+    - s: the energy, from the kernel row sums of each tile;
+    - separation: (q, (i, j)), the smallest q over the pairs i < j and
+      the lexicographically first pair attaining it;
+    - distances: the N(N-1)/2 pairwise distances, row-major;
+    - extra: (M, d) discrepancy centers after the N code points, M >= 0;
+      the jumps are the largest jump value of each of the N + M centers.
+
+    The rows (code points, then extra centers) are walked in chunks of
+    CHUNK_ROWS, each in tiles of whole rows.  A tile's columns are the
+    code points from the chunk start lo on, or all of them with centers;
+    its code-point rows from column lo on are the upper-triangle tile that
+    feeds the pair reductions before the jump values sort it.
+    """
+    m, n = X.manifold, X.n
+    rows = X.coords if extra is None else np.concatenate([X.coords, extra])
+    cols = _columns(X.coords)
+    pairs = s is not None or separation or distances
+
+    def work(chunk):
+        # the thread unit is a chunk, not a tile: tile-sized tasks made two
+        # threads slower than one
+        lo, hi = chunk
+        start = lo if extra is None else 0
+        sums, mins, dists, jumps = [], [], [], []
+        for a, b in _tile_ranges(lo, hi, n - start):
+            Q = m.sq_dist(rows[a:b, None, :], cols[:, start:])
+            if pairs and a < n:  # rows from n on are extra centers
+                T = Q[:min(b, n) - a, lo - start:]  # T[i, j] is the pair (a + i, lo + j)
+                upper = ~np.tri(*T.shape, a - lo, dtype=bool)  # a + i < lo + j
+                if s is not None:
+                    sums.append(_tile_row_sums(m, s, a, lo, T, upper))
+                if separation:
+                    mins.append(_tile_min(a, lo, T, upper))
+                if distances:
+                    dists.append(m.dist_from_sq(T[upper]))
+            if extra is not None:
+                above, below = _jump_values(m, Q)
+                jumps.append(np.maximum(above.max(axis=1), below.max(axis=1)))
+        return sums, mins, dists, jumps
+
+    sums, mins, dists, jumps = zip(*map_ordered(work, chunk_ranges(len(rows), CHUNK_ROWS),
+                                                threads))
+    return _PassResult(
+        # compensated within each chunk, then over the chunks: this fixes the bits
+        None if s is None else 2.0 * compensated_sum(
+            compensated_sum(np.concatenate(c)) for c in sums if c) / (n * n),
+        # min keeps the first of equal q: over tiles in row order, the first pair
+        min((t for c in mins for t in c), key=lambda t: t[0]) if separation else None,
+        np.concatenate([t for c in dists for t in c]) if distances else None,
+        None if extra is None else np.concatenate([t for c in jumps for t in c]))
 
 
 def discrete_energy(X, s: float, threads=None) -> float:
@@ -128,13 +193,9 @@ def discrete_energy(X, s: float, threads=None) -> float:
     DomainError naming the offending indices.
     """
     check_exponent(s, X.manifold.dim)
-    n = X.n
-    if n < 2:
+    if X.n < 2:
         return 0.0
-    cols = _columns(X.coords)
-    chunks = chunk_ranges(n, CHUNK_ROWS)
-    partials = map_ordered(lambda rng: _chunk_pair_sum(X, s, cols, *rng), chunks, threads)
-    return 2.0 * compensated_sum(partials) / (n * n)
+    return _chunked_pass(X, s=s, threads=threads).energy
 
 
 def punctured_mean_potential(X, i: int, s: float) -> float:
@@ -177,10 +238,7 @@ def energy_via_distance_cdf(X, s: float) -> float:
 def pairwise_distances(X) -> np.ndarray:
     """All N(N-1)/2 pairwise geodesic distances (upper triangle, row-major),
     gathered from the upper-triangle tiles."""
-    cols = _columns(X.coords)
-    chunks = chunk_ranges(X.n, CHUNK_ROWS)
-    return np.concatenate([X.manifold.dist_from_sq(Q[upper]) for lo, hi in chunks
-                           for _, Q, upper in _upper_tiles(X, lo, hi, cols)])
+    return _chunked_pass(X, distances=True).distances
 
 
 # ----------------------------------------------------------------------

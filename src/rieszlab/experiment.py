@@ -2,9 +2,10 @@
 geometric schedule, with log-log rate fits.
 
 Each row takes its discrete energy, brute-force separation and
-discrepancy estimate from one tiled pass over the point set
-(discrepancy._tiled_pass), bit for bit as discrete_energy,
-min_geodesic_distance and estimate_discrepancy give them.
+discrepancy estimate from one call of energy._chunked_pass (through
+discrepancy._tiled_pass).  discrete_energy, min_geodesic_distance and
+estimate_discrepancy each run the same pass for their one reduction, so
+the row equals the three separate calls by construction.
 
 The discrepancy column is the finite-center lower bound, not the true
 supremum; the fitted constants inherit that caveat and every emitted

@@ -3,6 +3,10 @@
 Generators: Fibonacci spiral on S^2, Kronecker sequences on T^d, greedy
 farthest-point sampling on any manifold, plus Riemannian gradient descent
 on the Riesz energy as a refiner.
+
+Brute-force separation is the minimum reduction of energy._chunked_pass,
+so it runs on RIESZ_THREADS threads with the bits of a serial run; the
+torus grid search rescores its candidates with the same kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import numpy as np
 from . import energy as _energy
 from .errors import DomainError, InputError
 from .manifold import FlatTorus, Manifold, Point, Sphere, sample_uniform
-from .parallel import chunk_ranges
 from .rng import stream
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -92,30 +95,6 @@ class SeparationReport:
         }
 
 
-def _tile_min(a, lo, Q, upper):
-    """Smallest squared distance of the upper-triangle tile (a, Q, upper)
-    of the chunk starting at lo, with the first pair attaining it in row
-    order: (q, (i, j))."""
-    masked = np.where(upper, Q, math.inf)
-    i, j = np.unravel_index(np.argmin(masked), masked.shape)
-    return masked[i, j], (a + int(i), lo + int(j))
-
-
-def _first_min(candidates):
-    """The first (q, pair) with the smallest q.  Over tiles in row order
-    this is the lexicographically smallest pair attaining the minimum."""
-    return min(candidates, key=lambda c: c[0])
-
-
-def _brute_min(X: PointSet):
-    """Smallest squared distance over the upper-triangle tiles, and its
-    lexicographically smallest pair."""
-    cols = _energy._columns(X.coords)
-    return _first_min(_tile_min(a, lo, Q, upper)
-                      for lo, hi in chunk_ranges(X.n, _energy.CHUNK_ROWS)
-                      for a, Q, upper in _energy._upper_tiles(X, lo, hi, cols))
-
-
 def _grid_min(X: PointSet):
     """Periodic k-d tree search on the torus.
 
@@ -141,13 +120,14 @@ def min_geodesic_distance(X: PointSet, method: str = "brute") -> SeparationRepor
     """Exact minimum over all pairs, with gamma_hat = min * N^(1/d).
 
     method "grid" uses a periodic k-d tree on the torus (bit-identical
-    minimum and pair); "brute" scans all pairs.  Duplicate points yield a
-    zero minimum with the has_duplicates flag set.
+    minimum and pair); "brute" scans all pairs on RIESZ_THREADS threads.
+    Duplicate points yield a zero minimum with the has_duplicates flag
+    set.
     """
     if X.n < 2:
         raise InputError("separation needs at least 2 points")
     if method == "brute":
-        q, pair = _brute_min(X)
+        q, pair = _energy._chunked_pass(X, separation=True).separation
     elif method == "grid":
         q, pair = _grid_min(X)
     else:

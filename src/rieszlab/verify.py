@@ -241,12 +241,13 @@ def packing_number(m: Manifold, x: Point, r: float, q: float, pool_seed: int,
         raise InputError("could not fill the candidate pool; ball volume too small")
     pool = np.concatenate(pool)[:pool_size]
     order = np.argsort(-m.distances_from(xc, pool), kind="stable")
-    accepted = np.empty_like(pool)
+    # free marks the candidates at least q from every acceptance so far;
+    # sq_dist is bitwise symmetric, so each decision is the per-candidate one
+    free = np.ones(len(pool), dtype=bool)
     count = 0
     for idx in order:
-        c = pool[idx]
-        if count == 0 or np.all(m.distances_from(c, accepted[:count]) >= q):
-            accepted[count] = c
+        if free[idx]:
+            free &= m.distances_from(pool[idx], pool) >= q
             count += 1
     return count
 

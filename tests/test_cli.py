@@ -146,6 +146,37 @@ def test_rate_config_parsing_errors(tmp_path):
     assert cfg.ns == [32, 64, 128]
 
 
+RATE_BASE = {"manifold": "torus", "dim": "1", "s": "0.5", "generator": "kronecker",
+             "n_min": "32", "n_max": "64"}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dim", "two"), ("s", "one"), ("ns", "32,6x4"), ("n_min", "3e"), ("n_max", "1k"),
+    ("extra_centers", "none"), ("seed", "abc"), ("quad_tol", "tiny"),
+    ("candidate_pool", "2.5"),
+])
+def test_rate_malformed_number_exits_one(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in dict(RATE_BASE, **{key: value}).items()))
+    code, _, err = run_cli(["rate", "--config", str(cfg), "--out-csv",
+                            str(tmp_path / "o.csv"), "--out-json", "-"], capsys)
+    assert code == 1
+    assert f"error: {key}=" in err
+
+
+@pytest.mark.parametrize("header,bad", [
+    ("# manifold=flat-torus dim=one\n# n=1 seed=0", "dim='one'"),
+    ("# manifold=flat-torus dim=1\n# n=1x seed=0", "n='1x'"),
+    ("# manifold=flat-torus dim=1\n# n=1 seed=abc", "seed='abc'"),
+])
+def test_pointset_header_malformed_number_exits_one(tmp_path, capsys, header, bad):
+    pts = tmp_path / "p.txt"
+    pts.write_text(header + "\n0.25\n")
+    code, _, err = run_cli(["separation", "--in", str(pts)], capsys)
+    assert code == 1
+    assert f"error: {bad}" in err
+
+
 # ----------------------------------------------------------------------
 # exit codes
 # ----------------------------------------------------------------------

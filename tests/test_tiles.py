@@ -26,8 +26,13 @@ def _bytes(*values):
     return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
 
 
-def _results(X, threads, discrepancy):
+def _results(monkeypatch, X, threads, discrepancy):
     sep = min_geodesic_distance(X)
+    with monkeypatch.context() as env:
+        # brute separation takes its thread count from RIESZ_THREADS
+        env.setenv("RIESZ_THREADS", "2")
+        sep2 = min_geodesic_distance(X)
+    assert (_bytes(sep2.min_distance), sep2.pair) == (_bytes(sep.min_distance), sep.pair)
     out = {
         "energy": _bytes(discrete_energy(X, 1.0, threads=threads)),
         "separation": (_bytes(sep.min_distance), sep.pair),
@@ -60,13 +65,13 @@ def test_results_byte_identical_for_any_tile_size(monkeypatch, name, n):
     # T^3 volumes beyond r = sqrt(2)/2 cost one quadrature per radius, so
     # its discrepancy is compared at the smaller N only
     discrepancy = name != "T3" or n < 1000
-    default = _results(X, 1, discrepancy)
+    default = _results(monkeypatch, X, 1, discrepancy)
     # TILE_ELEMS = 1: one row per tile; 256 N: whole 256-row chunks
     monkeypatch.setattr(energy, "TILE_ELEMS", 256 * n)
-    assert _results(X, 1, discrepancy) == default
+    assert _results(monkeypatch, X, 1, discrepancy) == default
     monkeypatch.setattr(energy, "TILE_ELEMS", 1)
-    assert _results(X, 1, discrepancy) == default
-    assert _results(X, 2, discrepancy) == default
+    assert _results(monkeypatch, X, 1, discrepancy) == default
+    assert _results(monkeypatch, X, 2, discrepancy) == default
 
 
 def test_coincident_pair_named_for_any_tile_size(monkeypatch):

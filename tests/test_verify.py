@@ -8,6 +8,7 @@ from rieszlab import (DomainError, InputError, check_ball_volume_flatness,
                       check_packing_bound, check_small_ball_bounds,
                       check_small_ball_energy, energy_rate_exponent,
                       flat_torus, holder_exponent, packing_number, sphere)
+from rieszlab.rng import stream
 from rieszlab.verify import geometric_grid
 
 
@@ -154,6 +155,40 @@ def test_sphere_packing_under_volume_bound():
     c2 = 9.0 * large.constants["c_top"] / large.constants["c_bot"]
     assert count <= c2 * (0.5 / 0.05) ** 2
     assert count == 255  # frozen greedy regression
+
+
+def _reference_packing(m, x, r, q, pool_seed, pool_size):
+    """The per-candidate greedy on packing_number's seeded pool: each
+    candidate, by decreasing distance from x, is tested against every
+    earlier acceptance."""
+    rng = stream(pool_seed, "packing-pool")
+    batch_size = max(1024, pool_size)
+    hit_rate = m.ball_volume(min(r, m.injectivity_radius))
+    pool = []
+    for _ in range(max(200, math.ceil(2 * pool_size / (batch_size * hit_rate)))):
+        batch = m._sample(rng, batch_size)
+        pool.extend(batch[m.distances_from(x.coords, batch) <= r])
+        if len(pool) >= pool_size:
+            break
+    pool = np.array(pool[:pool_size])
+    accepted = []
+    for idx in np.argsort(-m.distances_from(x.coords, pool), kind="stable"):
+        c = pool[idx]
+        if not accepted or np.all(m.distances_from(c, np.array(accepted)) >= q):
+            accepted.append(c)
+    return len(accepted)
+
+
+@pytest.mark.parametrize("m,cases", [
+    (sphere(3), [(1.0, 0.3, 0), (2.0, 0.6, 1), (0.6, 0.15, 2), (3.0, 1.0, 3)]),
+    (flat_torus(3), [(0.3, 0.1, 0), (0.5, 0.2, 1), (0.8, 0.15, 2), (0.2, 0.05, 3)]),
+], ids=["S3", "T3"])
+def test_packing_matches_per_candidate_greedy(m, cases):
+    x = m.point(m._sample(stream(9, "packing-test"), 1)[0])
+    for r, q, pool_seed in cases:
+        count = packing_number(m, x, r, q, pool_seed=pool_seed, pool_size=1024)
+        assert count > 1
+        assert count == _reference_packing(m, x, r, q, pool_seed, 1024)
 
 
 @pytest.mark.parametrize("m", [sphere(2), flat_torus(2)])
