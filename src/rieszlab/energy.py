@@ -3,13 +3,13 @@
 The continuous energy is reduced to a one-dimensional radial integral,
 which is exact on the homogeneous manifolds handled here.
 
-The energy, the brute-force separation, the pairwise distances and the
-discrepancy jump values all come from _chunked_pass, the one chunked,
-tiled pass over the squared distances (sq_dist).  It walks its rows in
-chunks of CHUNK_ROWS consecutive points; the chunk is the unit of thread
-work and of compensated summation, so CHUNK_ROWS fixes the bits.  Pair
-reductions visit each unordered pair once: a chunk's rows against those
-rows and every later point.  Each chunk is computed in tiles of whole
+The energy, the brute-force separation, the pairwise distances, the
+discrepancy jump values and the gradient all come from _chunked_pass, the
+one chunked, tiled pass over the squared distances (sq_dist).  It walks
+its rows in chunks of CHUNK_ROWS consecutive points; the chunk is the unit
+of thread work and of compensated summation, so CHUNK_ROWS fixes the bits.
+Pair reductions visit each unordered pair once: a chunk's rows against
+those rows and every later point.  Each chunk is computed in tiles of whole
 rows holding about TILE_ELEMS entries, so TILE_ELEMS fixes the memory: a
 pass uses O(TILE_ELEMS + N) of it.  Both sizes depend on N only, never on
 the thread count (RIESZ_THREADS or a threads argument), and the kernel
@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import integrate
 
 from .errors import DomainError, InputError
-from .manifold import SQRT2_2, SQRT3_2, FlatTorus, Manifold, Point, Sphere
+from .manifold import (SQRT2_2, SQRT3_2, FlatTorus, Manifold, Point, Sphere,
+                       _unit_ball_volume)
 from .parallel import chunk_ranges, map_ordered
 
 # Fixed row-chunk size for pairwise reductions.  Chunk boundaries (and
@@ -77,12 +78,6 @@ def _tile_ranges(lo, hi, columns):
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
-def _columns(coords):
-    """The (1, N, d) column operand of sq_dist, laid out so that each axis
-    coords[:, k] is contiguous; made once per pass, read by every tile."""
-    return coords.T.copy().T[None]
-
-
 def _tile_row_sums(m, s, a, lo, Q, upper):
     """Kernel sum of each row of the upper-triangle tile (a, Q, upper) of
     the chunk starting at lo, by numpy's deterministic row reduction.
@@ -106,6 +101,42 @@ def _tile_min(a, lo, Q, upper):
     return masked[i, j], (a + int(i), lo + int(j))
 
 
+def _tile_gradient(m, s, margins, a, x, y, Q, w):
+    """Unscaled gradient row sums of the full-row tile Q = sq_dist(x, y),
+    x the points a, a + 1, ... and y all N points, one (rows, ambient_dim)
+    array per cut margin; and the weights array w.
+
+    A pair counts for a margin unless it is a self pair or lies within the
+    margin of the cut locus.  Distances and weights are computed once, on
+    the pairs that count for any margin; each margin then only masks the
+    weights, so its sums equal a pass with that margin alone.  They go into
+    w, the previous tile's (None for a chunk's first): freeing them with the
+    other temporaries let malloc return the tile's memory to the OS and
+    fault it in again, which doubled the pass time at N = 1024 on S^2.
+    """
+    sphere = isinstance(m, Sphere)
+    # deltas[k][i, j] is axis k of y - x for x = point a + i, y = point j
+    deltas = [m._axis_delta(y[..., k] - x[..., k]) for k in range(m.ambient_dim)]
+    live = np.arange(Q.shape[1])[None, :] != np.arange(a, a + len(Q))[:, None]
+    if np.any(live & (Q <= 0.0)):
+        raise DomainError("coincident points in the set")
+    # the sphere cuts at a squared chord, the torus at every axis delta
+    reach = Q if sphere else np.abs(deltas).max(axis=0)
+    cuts = [m.injectivity_radius * (1.0 - c) for c in margins]
+    lives = [live & (reach < (4.0 * math.sin(cut / 2.0) ** 2 if sphere else cut)) for cut in cuts]
+    live = np.logical_or.reduce(lives)
+    q = np.where(live, Q, 1.0)
+    dist = m.dist_from_sq(q)
+    # log_x(y) has length dist along u, the tangent part of y - x; on the
+    # sphere u = (y - x) + (q/2) x, so |u| = sqrt(q (1 - q/4)), and the
+    # final projection removes the x-part of y - x
+    u_norm = np.sqrt(q * (1.0 - q / 4.0)) if sphere else dist
+    w = np.divide(dist ** (-s - 1.0), u_norm, out=None if w is None else w[:len(Q)])
+    w[~live] = 0.0
+    return [np.stack([np.sum(np.where(lv, w, 0.0) * delta, axis=1) for delta in deltas], axis=1)
+            for lv in lives], w
+
+
 def _jump_values(m: Manifold, Q: np.ndarray):
     """Jump values |empirical - volume| for a block of centers.
 
@@ -124,11 +155,11 @@ def _jump_values(m: Manifold, Q: np.ndarray):
 
 
 # What _chunked_pass returns; a reduction not asked for is None.
-_PassResult = namedtuple("_PassResult", "energy separation distances jumps")
+_PassResult = namedtuple("_PassResult", "energy separation distances jumps gradients")
 
 
 def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
-                  threads=None) -> _PassResult:
+                  threads=None, gradient=None) -> _PassResult:
     """The one chunked, tiled pass over the squared distances (sq_dist)
     of the point set X, with only the reductions asked for:
 
@@ -137,27 +168,33 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
       the lexicographically first pair attaining it;
     - distances: the N(N-1)/2 pairwise distances, row-major;
     - extra: (M, d) discrepancy centers after the N code points, M >= 0;
-      the jumps are the largest jump value of each of the N + M centers.
+      the jumps are the largest jump value of each of the N + M centers;
+    - gradient: (s, margins), without extra: the energy_gradient of each
+      cut margin.
 
     The rows (code points, then extra centers) are walked in chunks of
-    CHUNK_ROWS, each in tiles of whole rows.  A tile's columns are the
-    code points from the chunk start lo on, or all of them with centers;
-    its code-point rows from column lo on are the upper-triangle tile that
-    feeds the pair reductions before the jump values sort it.
+    CHUNK_ROWS, each in tiles of whole rows.  A tile's columns are the code
+    points from the chunk start lo on, or all of them for centers or the
+    gradient; its code-point rows from column lo on are the upper-triangle
+    tile that feeds the pair reductions before the jump values sort it.
     """
     m, n = X.manifold, X.n
     rows = X.coords if extra is None else np.concatenate([X.coords, extra])
-    cols = _columns(X.coords)
+    cols = X.coords.T.copy().T[None]  # (1, N, d), each axis contiguous for sq_dist
     pairs = s is not None or separation or distances
 
     def work(chunk):
         # the thread unit is a chunk, not a tile: tile-sized tasks made two
         # threads slower than one
         lo, hi = chunk
-        start = lo if extra is None else 0
-        sums, mins, dists, jumps = [], [], [], []
+        start = lo if extra is None and gradient is None else 0
+        sums, mins, dists, jumps, grads = [], [], [], [], []
+        w = None
         for a, b in _tile_ranges(lo, hi, n - start):
             Q = m.sq_dist(rows[a:b, None, :], cols[:, start:])
+            if gradient is not None:
+                g, w = _tile_gradient(m, *gradient, a, rows[a:b, None, :], cols, Q, w)
+                grads.append(g)
             if pairs and a < n:  # rows from n on are extra centers
                 T = Q[:min(b, n) - a, lo - start:]  # T[i, j] is the pair (a + i, lo + j)
                 upper = ~np.tri(*T.shape, a - lo, dtype=bool)  # a + i < lo + j
@@ -170,10 +207,10 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
             if extra is not None:
                 above, below = _jump_values(m, Q)
                 jumps.append(np.maximum(above.max(axis=1), below.max(axis=1)))
-        return sums, mins, dists, jumps
+        return sums, mins, dists, jumps, grads
 
-    sums, mins, dists, jumps = zip(*map_ordered(work, chunk_ranges(len(rows), CHUNK_ROWS),
-                                                threads))
+    sums, mins, dists, jumps, grads = zip(*map_ordered(
+        work, chunk_ranges(len(rows), CHUNK_ROWS), threads))
     return _PassResult(
         # compensated within each chunk, then over the chunks: this fixes the bits
         None if s is None else 2.0 * compensated_sum(
@@ -181,7 +218,11 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
         # min keeps the first of equal q: over tiles in row order, the first pair
         min((t for c in mins for t in c), key=lambda t: t[0]) if separation else None,
         np.concatenate([t for c in dists for t in c]) if distances else None,
-        None if extra is None else np.concatenate([t for c in jumps for t in c]))
+        None if extra is None else np.concatenate([t for c in jumps for t in c]),
+        # per margin, the tiles' row sums in row order, scaled, then projected
+        None if gradient is None else tuple(
+            m._project_tangent(X.coords, 2.0 * gradient[0] / (n * n) * np.concatenate(g))
+            for g in zip(*(t for c in grads for t in c))))
 
 
 def discrete_energy(X, s: float, threads=None) -> float:
@@ -338,8 +379,7 @@ def small_ball_energy(m: Manifold, s: float, r: float, tol: float = DEFAULT_QUAD
         if r > 0.5:
             raise InputError("torus small-ball energy requires r <= 1/2")
         d = m.dim
-        c_d = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-        return d * c_d * r ** (d - s) / (d - s)
+        return float(d * _unit_ball_volume(d) * r ** (d - s) / (d - s))
     raise InputError(f"unsupported manifold {m!r}")
 
 
@@ -354,39 +394,13 @@ def energy_gradient(X, s: float, cut_margin: float = 1e-12) -> np.ndarray:
     Pairs at the cut locus (distance within cut_margin * injectivity
     radius of the maximum reachable by the log map) contribute zero: the
     kernel term attains its pairwise minimum there, so zero is a valid
-    subgradient choice.
+    subgradient choice.  Runs on RIESZ_THREADS threads with the bits of a
+    serial run.
     """
     check_exponent(s, X.manifold.dim)
-    m = X.manifold
-    coords = X.coords
-    n = len(coords)
-    grad = np.zeros_like(coords)
-    if n < 2:
-        return grad
-    scale = 2.0 * s / (n * n)
-    cut = m.injectivity_radius * (1.0 - cut_margin)
-    sphere = isinstance(m, Sphere)
-    q_cut = 4.0 * math.sin(cut / 2.0) ** 2  # sq_dist at the cut on the sphere
-    y = _columns(coords)
-    for lo, hi in _tile_ranges(0, n, n):
-        x = coords[lo:hi, None, :]
-        q = m.sq_dist(x, y)
-        # deltas[k][i, j] is axis k of y - x for x = point lo + i, y = point j
-        deltas = [m._axis_delta(y[..., k] - x[..., k]) for k in range(m.ambient_dim)]
-        live = np.arange(n)[None, :] != np.arange(lo, hi)[:, None]
-        if np.any(live & (q <= 0.0)):
-            raise DomainError("coincident points in the set")
-        live &= (q < q_cut) if sphere else np.all(np.abs(deltas) < cut, axis=0)
-        q = np.where(live, q, 1.0)
-        dist = m.dist_from_sq(q)
-        # log_x(y) has length dist along u, the tangent part of y - x; on the
-        # sphere u = (y - x) + (q/2) x, so |u| = sqrt(q (1 - q/4)), and the
-        # projection below removes the x-part of y - x
-        u_norm = np.sqrt(q * (1.0 - q / 4.0)) if sphere else dist
-        w = np.where(live, dist ** (-s - 1.0) / u_norm, 0.0)
-        for k, delta in enumerate(deltas):
-            grad[lo:hi, k] = scale * np.sum(w * delta, axis=1)
-    return m._project_tangent(coords, grad)
+    if X.n < 2:
+        return np.zeros_like(X.coords)
+    return _chunked_pass(X, gradient=(s, (cut_margin,))).gradients[0]
 
 
 # ----------------------------------------------------------------------
@@ -406,15 +420,7 @@ class EnergyReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "energy_discrete": self.energy_discrete,
-            "energy_continuous": self.energy_continuous,
-            "gap": self.gap,
-            "quad_tol": self.quad_tol,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 def energy_report(X, s: float, tol: float = DEFAULT_QUAD_TOL, threads=None) -> EnergyReport:

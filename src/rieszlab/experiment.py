@@ -59,6 +59,8 @@ class RateExperimentConfig:
             raise InputError("every N in the schedule must be >= 2")
         if self.extra_centers < 0:
             raise InputError("extra_centers must be >= 0")
+        if not (math.isfinite(self.quad_tol) and self.quad_tol > 0):
+            raise InputError(f"quad_tol must be finite and > 0, got {self.quad_tol}")
 
     def describe(self) -> dict:
         return {

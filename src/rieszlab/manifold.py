@@ -378,16 +378,7 @@ class FlatTorus(Manifold):
         return rng.random((n, self.dim))
 
     def _ball_volume(self, r):
-        d = self.dim
-        if d == 1:
-            return 2.0 * r
-        out = np.empty_like(r)
-        small = r <= 0.5
-        out[small] = euclidean_ball_volume(d, r[small])
-        big = ~small
-        if np.any(big):
-            out[big] = self._large_ball_volume(r[big])
-        return out
+        return self.volume_from_sq(r * r)
 
     def _large_ball_volume(self, r):
         """Ball volume for radii in (1/2, diameter)."""
@@ -471,13 +462,14 @@ def ball_volume(m: Manifold, r):
 
 
 def euclidean_ball_volume(d: int, r):
-    """Volume of the Euclidean d-ball of radius r: c_d r^d."""
+    """Volume of the Euclidean d-ball of radius r: c_d r^d, computed as
+    c_d (r^2)^(d/2), the form the torus volume takes below radius 1/2."""
     if d < 1:
         raise InputError(f"dimension must be >= 1, got {d}")
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise InputError("ball radius must be >= 0")
-    out = _unit_ball_volume(d) * arr ** d
+    out = _unit_ball_volume(d) * (arr * arr) ** (d / 2.0)
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
 
 

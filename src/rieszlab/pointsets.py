@@ -6,7 +6,9 @@ on the Riesz energy as a refiner.
 
 Brute-force separation is the minimum reduction of energy._chunked_pass,
 so it runs on RIESZ_THREADS threads with the bits of a serial run; the
-torus grid search rescores its candidates with the same kernel.
+torus grid search rescores its candidates with the same kernel.  Each
+descent iteration asks the same pass once for the gradients of both its
+candidates.
 """
 
 from __future__ import annotations
@@ -284,8 +286,8 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
             converged = True
             break
         best_prop, best_e = None, energy_now
-        for margin in (1e-12, 1e-2):
-            grad = _energy.energy_gradient(current, s, cut_margin=margin)
+        # one gradient pass gives both candidates' energy_gradient
+        for grad in _energy._chunked_pass(current, gradient=(s, (1e-12, 1e-2))).gradients:
             if not np.any(grad):
                 converged = True
                 continue

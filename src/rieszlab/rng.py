@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 
+from .errors import InputError
+
 
 def stream(seed: int, name: str) -> np.random.Generator:
     """Named, independent substream of the counter-based generator.
@@ -17,6 +19,8 @@ def stream(seed: int, name: str) -> np.random.Generator:
     The stream key is derived from a CRC of the operation name, so the
     same (seed, name) pair yields the same sequence on every platform.
     """
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     key = zlib.crc32(name.encode("utf-8"))
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(key,))
     return np.random.Generator(np.random.Philox(seq))

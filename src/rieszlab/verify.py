@@ -9,14 +9,14 @@ given the seed, so they double as regression anchors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import integrate
 
 from .energy import DEFAULT_QUAD_TOL, check_exponent, mean_potential, small_ball_energy
 from .errors import InputError
-from .manifold import FlatTorus, Manifold, Point, Sphere, euclidean_ball_volume
+from .manifold import FlatTorus, Manifold, Point, Sphere
 from .rng import stream
 
 
@@ -34,16 +34,7 @@ class BoundCheckReport:
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "manifold": self.manifold,
-            "grid": self.grid,
-            "constants": self.constants,
-            "worst_ratio": self.worst_ratio,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -107,8 +98,7 @@ def _sphere_flatness_defect(m: Sphere, radii: np.ndarray) -> np.ndarray:
         val, _ = integrate.quad(integrand, 0.0, r, epsabs=1e-15, epsrel=1e-13)
         return val
 
-    out = np.array([abs(d * difference_integral(r)) / r ** (d + 2) for r in radii])
-    return out
+    return np.array([abs(d * difference_integral(r)) / r ** (d + 2) for r in radii])
 
 
 def check_ball_volume_flatness(m: Manifold, radii=None) -> BoundCheckReport:

@@ -164,6 +164,26 @@ def test_rate_malformed_number_exits_one(tmp_path, capsys, key, value):
     assert f"error: {key}=" in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", "-1"), ("quad_tol", "-1"), ("quad_tol", "0"), ("quad_tol", "nan"),
+])
+def test_rate_out_of_range_value_exits_one(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in dict(RATE_BASE, **{key: value}).items()))
+    code, _, err = run_cli(["rate", "--config", str(cfg), "--out-csv",
+                            str(tmp_path / "o.csv"), "--out-json", "-"], capsys)
+    assert code == 1
+    assert f"error: {key} must be" in err
+
+
+def test_generate_negative_seed_exits_one(tmp_path, capsys):
+    code, _, err = run_cli(["generate", "--manifold", "sphere", "--dim", "2", "--gen",
+                            "uniform", "--n", "5", "--seed", "-1",
+                            "--out", str(tmp_path / "p.txt")], capsys)
+    assert code == 1
+    assert "error: seed must be >= 0" in err
+
+
 @pytest.mark.parametrize("header,bad", [
     ("# manifold=flat-torus dim=one\n# n=1 seed=0", "dim='one'"),
     ("# manifold=flat-torus dim=1\n# n=1x seed=0", "n='1x'"),

@@ -136,6 +136,24 @@ def test_torus1_energy_closed_form():
     assert got == pytest.approx(oracle, abs=1e-9)
 
 
+@pytest.mark.parametrize("d,s", [(1, 0.25), (1, 0.5), (3, 0.5), (3, 1.5), (3, 2.5)])
+def test_torus_energy_matches_mpmath(d, s):
+    # independent reference: on T^1, 2 * the integral of x^-s over (0, 1/2);
+    # on T^3, the cube [-1/2, 1/2]^3 is 48 copies of 0 <= z <= y <= x <= 1/2,
+    # and y = x u, z = x u v split off the singular radial factor x^(2-s)
+    import mpmath
+    with mpmath.workdps(30):
+        s_, half = mpmath.mpf(s), mpmath.mpf(1) / 2
+        if d == 1:
+            exact = 2 * mpmath.quad(lambda x: x ** -s_, [0, half])
+        else:
+            exact = 48 * half ** (3 - s_) / (3 - s_) * mpmath.quad(
+                lambda u, v: u * (1 + u * u + u * u * v * v) ** (-s_ / 2), [0, 1], [0, 1])
+    # T^1 is a closed form (c_1 = 2 exactly): within one ulp
+    rel = 2e-16 if d == 1 else 2e-15
+    assert continuous_energy(flat_torus(d), s, 1e-13) == pytest.approx(float(exact), rel=rel, abs=0)
+
+
 def test_sphere2_energy_sine_integral():
     got = continuous_energy(sphere(2), 1.0)
     assert got == pytest.approx(special.sici(math.pi)[0] / 2.0, abs=1e-9)

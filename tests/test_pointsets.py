@@ -263,3 +263,37 @@ def test_descent_distinct_output():
     X0 = sample_uniform(flat_torus(2), 9, 12)
     out = minimize_riesz_energy(X0, 1.0, max_iters=40)
     assert min_geodesic_distance(out).min_distance > 0
+
+
+@pytest.mark.parametrize("make", [lambda: sample_uniform(sphere(2), 6, 300),
+                                  lambda: sample_uniform(flat_torus(2), 7, 300)],
+                         ids=["S2", "T2"])
+def test_descent_one_gradient_pass_per_iteration(monkeypatch, make):
+    from rieszlab import energy
+    X0 = make()
+    passes = []
+    chunked_pass = energy._chunked_pass
+
+    def counting(X, **kwargs):
+        if kwargs.get("gradient") is not None:
+            passes.append(kwargs["gradient"][1])
+        return chunked_pass(X, **kwargs)
+
+    monkeypatch.setattr(energy, "_chunked_pass", counting)
+    out = minimize_riesz_energy(X0, 1.0, max_iters=4, tol=0.0)
+    assert out.provenance["iterations"] == 4
+    # one pass per iteration serves both candidates' cut margins
+    assert passes == [(1e-12, 1e-2)] * 4
+
+
+@pytest.mark.parametrize("make", [lambda: farthest_point_sample(sphere(2), 600, 2),
+                                  lambda: farthest_point_sample(flat_torus(2), 600, 3)],
+                         ids=["S2", "T2"])
+def test_descent_byte_identical_across_threads(monkeypatch, make):
+    X0 = make()
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RIESZ_THREADS", threads)
+        out = minimize_riesz_energy(X0, 1.0, max_iters=3, tol=0.0)
+        runs.append((out.coords.tobytes(), np.array(out.provenance["energy_trace"]).tobytes()))
+    assert runs[0] == runs[1]

@@ -28,16 +28,19 @@ def _bytes(*values):
 
 def _results(monkeypatch, X, threads, discrepancy):
     sep = min_geodesic_distance(X)
+    grad = energy_gradient(X, 1.0)
     with monkeypatch.context() as env:
-        # brute separation takes its thread count from RIESZ_THREADS
+        # brute separation and the gradient take their thread count from
+        # RIESZ_THREADS
         env.setenv("RIESZ_THREADS", "2")
         sep2 = min_geodesic_distance(X)
+        assert _bytes(energy_gradient(X, 1.0)) == _bytes(grad)
     assert (_bytes(sep2.min_distance), sep2.pair) == (_bytes(sep.min_distance), sep.pair)
     out = {
         "energy": _bytes(discrete_energy(X, 1.0, threads=threads)),
         "separation": (_bytes(sep.min_distance), sep.pair),
         "pairwise": _bytes(pairwise_distances(X)),
-        "gradient": _bytes(energy_gradient(X, 1.0)),
+        "gradient": _bytes(grad),
     }
     if discrepancy:
         # 37 extra centers: for N = 517 the last chunk and a tile cross N
@@ -96,6 +99,8 @@ def test_pass_memory_flat_in_n(make, n):
         "discrepancy": lambda: estimate_discrepancy(X, extra_centers=0),
         "sweep_row": lambda: _tiled_pass(X, 0, 0, None, 1.0),
         "gradient": lambda: energy_gradient(X, 1.0),
+        # the descent's pass: both candidates' gradients at once
+        "gradient_pair": lambda: energy._chunked_pass(X, gradient=(1.0, (1e-12, 1e-2))),
     }
     peaks = {}
     tracemalloc.start()
@@ -108,3 +113,31 @@ def test_pass_memory_flat_in_n(make, n):
     finally:
         tracemalloc.stop()
     assert max(peaks.values()) < 4 * 2 ** 20, peaks
+
+
+def _cut_band_sets():
+    """Sets with pairs between the two descent margins' cuts: near-antipodal
+    pairs on S^1 and S^2, axis deltas just under 1/2 on T^1 and T^2."""
+    out = {}
+    for d in (1, 2):
+        c = sample_uniform(sphere(d), 40 + d, 300).coords.copy()
+        c[1::2] = -c[0::2] + 1e-4 * c[1::2]
+        out[f"S{d}"] = PointSet(sphere(d), c / np.linalg.norm(c, axis=1, keepdims=True))
+        c = sample_uniform(flat_torus(d), 50 + d, 300).coords.copy()
+        c[1::2] = c[0::2] + 0.5 - 1e-3 * (1.0 + np.arange(150)[:, None] / 1000)
+        out[f"T{d}"] = PointSet(flat_torus(d), c)
+    return out
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "T1", "T2"])
+def test_shared_gradient_pass_equals_one_margin_calls(monkeypatch, name):
+    X = _cut_band_sets()[name]
+    margins = (1e-12, 1e-2)
+    singles = [_bytes(energy_gradient(X, 0.5, cut_margin=c)) for c in margins]
+    # the band between the two cuts is populated, so the margins differ
+    assert singles[0] != singles[1]
+    for tile in (energy.TILE_ELEMS, 1):
+        monkeypatch.setattr(energy, "TILE_ELEMS", tile)
+        for threads in (1, 2):
+            shared = energy._chunked_pass(X, gradient=(0.5, margins), threads=threads).gradients
+            assert [_bytes(g) for g in shared] == singles
