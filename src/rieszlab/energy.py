@@ -328,7 +328,7 @@ def _torus_radial(m: FlatTorus, s: float, tol: float) -> float:
 
         mid = anti(SQRT2_2) - anti(0.5)
         # (sqrt2/2, sqrt3/2]: integrate by parts against the exact volume,
-        # which carries a 1-D quadrature for the edge overlaps
+        # whose edge overlaps come from a fixed Gauss-Legendre rule
         v_lo = float(m.ball_volume(SQRT2_2))
         diam = SQRT3_2
         boundary = diam ** (-s) * 1.0 - SQRT2_2 ** (-s) * v_lo

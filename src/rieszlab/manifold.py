@@ -13,19 +13,41 @@ volume_from_sq map it to distances and ball volumes.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, InputError
 from .rng import stream
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
 SQRT3_2 = math.sqrt(3.0) / 2.0
+
+
+@functools.cache
+def _gauss_legendre_rule():
+    # built on first use: leggauss's eigenvalue solve starts LAPACK, which
+    # costs resident memory that S^d and T^2 work never needs
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
+def _gauss_legendre_01(f):
+    """Integral of f over [0, 1] by a fixed 20-node Gauss-Legendre rule.
+
+    f maps one node u (a float) to an array over a batch, for example one
+    value per radius.  The weighted values are added node by node in a fixed
+    order, so an element's bits do not depend on the batch it arrives in.
+    """
+    total = 0.0
+    for u, w in zip(*_gauss_legendre_rule()):
+        total = total + w * f(float(u))
+    return total
 
 
 class ManifoldKind(str, Enum):
@@ -404,16 +426,22 @@ class FlatTorus(Manifold):
     @staticmethod
     def _t3_edge_integral(r):
         # volume of {|p| <= r, p_x >= 1/2, p_y >= 1/2}: the overlap of two
-        # face caps, needed once adjacent caps intersect (r > sqrt(2)/2)
-        top = math.sqrt(r * r - 0.25)
+        # face caps, needed once adjacent caps intersect (r > sqrt(2)/2).
+        # The slice at height x in (1/2, top) is the circular segment of
+        # radius rho beyond the line at 1/2: half-chord c = sqrt(rho^2 - 1/4),
+        # half-angle atan(2c), area rho^2 atan(2c) - c/2.  The substitution
+        # x = top - (top - 1/2) u^2 removes the square-root endpoint at
+        # x = top, where rho = 1/2.
+        top = np.sqrt(r * r - 0.25)
+        span = top - 0.5
 
-        def slab(x):
-            rho2 = r * r - x * x
-            rho = math.sqrt(rho2)
-            return rho2 * math.acos(min(1.0, 0.5 / rho)) - 0.5 * math.sqrt(max(0.0, rho2 - 0.25))
+        def slab(u):
+            drop = span * (u * u)  # top - x
+            c2 = drop * (2.0 * top - drop)  # rho^2 - 1/4 = top^2 - x^2
+            c = np.sqrt(c2)
+            return ((0.25 + c2) * np.arctan(2.0 * c) - 0.5 * c) * (2.0 * u * span)
 
-        val, _ = integrate.quad(slab, 0.5, top, epsabs=1e-13, epsrel=1e-13)
-        return val
+        return _gauss_legendre_01(slab)
 
     def _t3_large(self, r):
         r = np.minimum(r, SQRT3_2)
@@ -422,9 +450,7 @@ class FlatTorus(Manifold):
         v = 4.0 * math.pi * r ** 3 / 3.0 - 6.0 * cap
         edge = r > SQRT2_2
         if np.any(edge):
-            extra = np.array([12.0 * self._t3_edge_integral(ri) for ri in np.atleast_1d(r[edge])])
-            v = np.array(v, copy=True)
-            v[edge] += extra
+            v[edge] += 12.0 * self._t3_edge_integral(r[edge])
         return np.minimum(v, 1.0)
 
 

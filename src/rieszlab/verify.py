@@ -12,11 +12,10 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .energy import DEFAULT_QUAD_TOL, check_exponent, mean_potential, small_ball_energy
 from .errors import InputError
-from .manifold import FlatTorus, Manifold, Point, Sphere
+from .manifold import FlatTorus, Manifold, Point, Sphere, _gauss_legendre_01
 from .rng import stream
 
 
@@ -88,17 +87,25 @@ def _sphere_flatness_defect(m: Sphere, radii: np.ndarray) -> np.ndarray:
         sinc = np.sin(u) / u
         return (1.0 - sinc * sinc) / (radii * radii)
 
-    def difference_integral(r):
-        # integral of sin^(d-1) t - t^(d-1), computed without cancellation
-        def integrand(t):
-            if t == 0.0:
-                return 0.0
-            return t ** (d - 1) * math.expm1((d - 1) * math.log(math.sin(t) / t))
+    def log_sinc(t):
+        # log(sin t / t) without cancellation: sin t / t is the product of
+        # cos(t / 2^k) for k = 1..6 and sin y / y at y = t / 64, with
+        # log cos a = log1p(-2 sin^2(a / 2)) and a Taylor series for y
+        y2 = (t / 64.0) ** 2
+        total = -y2 * (1.0 / 6.0 + y2 * (1.0 / 180.0 + y2 * (1.0 / 2835.0 + y2 / 37800.0)))
+        for k in range(2, 8):
+            h = np.sin(t / 2.0 ** k)
+            total = total + np.log1p(-2.0 * h * h)
+        return total
 
-        val, _ = integrate.quad(integrand, 0.0, r, epsabs=1e-15, epsrel=1e-13)
-        return val
+    def difference(v):
+        # (sin^(d-1) t - t^(d-1)) / r^(d-1) at t = r v
+        t = radii * v
+        return v ** (d - 1) * np.expm1((d - 1) * log_sinc(t))
 
-    return np.array([abs(d * difference_integral(r)) / r ** (d + 2) for r in radii])
+    # |vol / V_d - 1| / r^2 with vol / V_d = d / r^d times the integral of
+    # sin^(d-1) over (0, r), scaled to t = r v on v in (0, 1)
+    return np.abs(d * _gauss_legendre_01(difference)) / (radii * radii)
 
 
 def check_ball_volume_flatness(m: Manifold, radii=None) -> BoundCheckReport:

@@ -178,7 +178,10 @@ def test_torus_large_radius_against_grid_oracle(d):
 @pytest.mark.parametrize("d, qs", [
     (1, [0.0, 0.01, 0.2, 0.25 - 1e-12]),
     (2, [0.0, 0.2, 0.25 - 1e-12, 0.25, 0.25 + 1e-12, 0.3, 0.45]),
-    (3, [0.0, 0.2, 0.25 - 1e-12, 0.25 + 1e-12, 0.45, 0.55, 0.7]),
+    # d = 3: the edge overlaps start at q = 1/2 and end at the squared
+    # diameter 3/4
+    (3, [0.0, 0.2, 0.25 - 1e-12, 0.25 + 1e-12, 0.45, 0.5 - 1e-12, 0.5 + 1e-12, 0.55,
+         0.6, 0.7, 0.75 - 1e-9]),
 ])
 def test_torus_volume_from_sq_matches_mpmath(d, qs):
     # independent reference: nested mpmath quadrature of the ball's slices

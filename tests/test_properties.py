@@ -1,0 +1,52 @@
+"""Property tests of the T^3 ball volume, the one torus volume that needs a
+quadrature (the edge overlaps beyond r = sqrt(2)/2)."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rieszlab import ball_volume, flat_torus
+from rieszlab.manifold import SQRT2_2, SQRT3_2
+
+T3 = flat_torus(3)
+# the closed form adds terms up to 4 pi / 3 (sqrt(3)/2)^3 ~ 2.7 to reach a
+# volume near 1, so neighbouring radii may swap by a few ulps; 4e-15 is
+# twice the largest swap measured on consecutive floats near sqrt(2)/2 and
+# the diameter
+ROUNDING = 4e-15
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+radii = st.one_of(
+    st.floats(min_value=1e-300, max_value=SQRT3_2),
+    # where the edge overlaps start
+    st.floats(min_value=SQRT2_2 - 1e-6, max_value=SQRT2_2 + 1e-6),
+)
+coords = st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                  min_size=3, max_size=3)
+
+
+@PROPERTY
+@given(st.lists(radii, min_size=1, max_size=40))
+@example([SQRT2_2 * (1 - 1e-15), SQRT2_2, SQRT2_2 * (1 + 1e-15), SQRT3_2])
+@example([0.5 - 1e-16, 0.5, 0.5 + 1e-16])
+def test_torus3_ball_volume_nondecreasing_in_unit_interval(rs):
+    rs = np.sort(np.array(rs))
+    v = ball_volume(T3, rs)
+    assert np.all((v >= 0.0) & (v <= 1.0))
+    assert np.all(np.diff(v) >= -ROUNDING)
+    # one radius at a time gives the same bits as the batch
+    assert np.array([ball_volume(T3, r) for r in rs]).tobytes() == v.tobytes()
+
+
+@PROPERTY
+@given(coords, coords)
+@example([0.0, 0.0, 0.0], [0.5, 0.5, 0.5])
+@example([0.1, 0.2, 0.3], [0.6, 0.7, 0.3])
+def test_torus3_volume_from_sq_is_ball_volume_of_distance(x, y):
+    q = T3.sq_dist(np.array(x), np.array(y))
+    expected = ball_volume(T3, T3.distance(T3.point(x), T3.point(y)))
+    # the distance is sqrt(q), and squaring it back may move q by an ulp,
+    # which moves c_3 q^(3/2) by about 1.5 ulps
+    assert T3.volume_from_sq(q) == pytest.approx(expected, rel=1e-15, abs=0.0)

@@ -26,7 +26,7 @@ def _bytes(*values):
     return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
 
 
-def _results(monkeypatch, X, threads, discrepancy):
+def _results(monkeypatch, X, threads):
     sep = min_geodesic_distance(X)
     grad = energy_gradient(X, 1.0)
     with monkeypatch.context() as env:
@@ -42,22 +42,21 @@ def _results(monkeypatch, X, threads, discrepancy):
         "pairwise": _bytes(pairwise_distances(X)),
         "gradient": _bytes(grad),
     }
-    if discrepancy:
-        # 37 extra centers: for N = 517 the last chunk and a tile cross N
-        est = estimate_discrepancy(X, extra_centers=37, seed=4, threads=threads)
-        out["discrepancy"] = (_bytes(est.value, est.radius), est.center_index, est.side)
-        est_row, e_row, sep_row = _tiled_pass(X, 37, 4, threads, 1.0)
-        out["sweep_row"] = {
-            "energy": _bytes(e_row),
-            "separation": (_bytes(sep_row.min_distance, sep_row.gamma_hat), sep_row.pair),
-            "discrepancy": (_bytes(est_row.value, est_row.radius), est_row.center_index,
-                            est_row.side),
-        }
-        assert out["sweep_row"] == {
-            "energy": out["energy"],
-            "separation": (_bytes(sep.min_distance, sep.gamma_hat), sep.pair),
-            "discrepancy": out["discrepancy"],
-        }
+    # 37 extra centers: for N = 517 the last chunk and a tile cross N
+    est = estimate_discrepancy(X, extra_centers=37, seed=4, threads=threads)
+    out["discrepancy"] = (_bytes(est.value, est.radius), est.center_index, est.side)
+    est_row, e_row, sep_row = _tiled_pass(X, 37, 4, threads, 1.0)
+    out["sweep_row"] = {
+        "energy": _bytes(e_row),
+        "separation": (_bytes(sep_row.min_distance, sep_row.gamma_hat), sep_row.pair),
+        "discrepancy": (_bytes(est_row.value, est_row.radius), est_row.center_index,
+                        est_row.side),
+    }
+    assert out["sweep_row"] == {
+        "energy": out["energy"],
+        "separation": (_bytes(sep.min_distance, sep.gamma_hat), sep.pair),
+        "discrepancy": out["discrepancy"],
+    }
     return out
 
 
@@ -65,16 +64,13 @@ def _results(monkeypatch, X, threads, discrepancy):
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_results_byte_identical_for_any_tile_size(monkeypatch, name, n):
     X = SETS[name](n)
-    # T^3 volumes beyond r = sqrt(2)/2 cost one quadrature per radius, so
-    # its discrepancy is compared at the smaller N only
-    discrepancy = name != "T3" or n < 1000
-    default = _results(monkeypatch, X, 1, discrepancy)
+    default = _results(monkeypatch, X, 1)
     # TILE_ELEMS = 1: one row per tile; 256 N: whole 256-row chunks
     monkeypatch.setattr(energy, "TILE_ELEMS", 256 * n)
-    assert _results(monkeypatch, X, 1, discrepancy) == default
+    assert _results(monkeypatch, X, 1) == default
     monkeypatch.setattr(energy, "TILE_ELEMS", 1)
-    assert _results(monkeypatch, X, 1, discrepancy) == default
-    assert _results(monkeypatch, X, 2, discrepancy) == default
+    assert _results(monkeypatch, X, 1) == default
+    assert _results(monkeypatch, X, 2) == default
 
 
 def test_coincident_pair_named_for_any_tile_size(monkeypatch):

@@ -9,7 +9,7 @@ from rieszlab import (DomainError, InputError, check_ball_volume_flatness,
                       check_small_ball_energy, energy_rate_exponent,
                       flat_torus, holder_exponent, packing_number, sphere)
 from rieszlab.rng import stream
-from rieszlab.verify import geometric_grid
+from rieszlab.verify import _sphere_flatness_defect, geometric_grid
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +61,30 @@ def test_sphere3_flatness_bounded():
     assert rep.passed
     # defect limit for S^d is d(d-1)/(6(d+2)): 1/5 for S^3
     assert rep.constants["c0"] == pytest.approx(0.2, rel=0.05)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sphere_flatness_defect_matches_mpmath(d):
+    # independent reference: 30-digit quadrature of the scaled difference
+    # (sin(r v) / r)^(d-1) - v^(d-1) over v in (0, 1), whose integral times
+    # d / r^2 is |vol(B(r)) / V_d(r) - 1| / r^2
+    import mpmath
+    radii = geometric_grid(1e-6, math.pi / 2, 24)
+    with mpmath.workdps(30):
+        exact = []
+        for r in radii:
+            r = mpmath.mpf(float(r))
+            diff = mpmath.quad(lambda v: (mpmath.sin(r * v) / r) ** (d - 1) - v ** (d - 1), [0, 1])
+            exact.append(float(d * abs(diff) / r ** 2))
+    assert _sphere_flatness_defect(sphere(d), radii) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_sphere_flatness_defect_independent_of_batch():
+    radii = geometric_grid(1e-5, 3.0, 37)
+    batch = _sphere_flatness_defect(sphere(3), radii)
+    alone = np.concatenate([_sphere_flatness_defect(sphere(3), radii[i:i + 1])
+                            for i in range(len(radii))])
+    assert batch.tobytes() == alone.tobytes()
 
 
 def test_flatness_grid_validation():
