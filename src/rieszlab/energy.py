@@ -8,10 +8,14 @@ discrepancy jump values and the gradient all come from _chunked_pass, the
 one chunked, tiled pass over the squared distances (sq_dist).  It walks
 its rows in chunks of CHUNK_ROWS consecutive points; the chunk is the unit
 of thread work and of compensated summation, so CHUNK_ROWS fixes the bits.
-Pair reductions visit each unordered pair once: a chunk's rows against
-those rows and every later point.  Each chunk is computed in tiles of whole
-rows holding about TILE_ELEMS entries, so TILE_ELEMS fixes the memory: a
-pass uses O(TILE_ELEMS + N) of it.  Both sizes depend on N only, never on
+Pair reductions, the gradient included, visit each unordered pair once: a
+chunk's rows against those rows and every later point.  The gradient adds
+a pair's term to the row sum of its first point and, negated, to the
+column sum of its second; the column sums take the tiles' rows in row
+order, and each chunk's sums are folded into the result in chunk order as
+the chunk comes back.  Each chunk is computed in tiles of whole rows
+holding about TILE_ELEMS entries, so TILE_ELEMS fixes the memory: a pass
+uses O(TILE_ELEMS + N) of it.  Both sizes depend on N only, never on
 the thread count (RIESZ_THREADS or a threads argument), and the kernel
 makes no BLAS call, so results agree bit for bit for any number of
 threads.
@@ -78,16 +82,23 @@ def _tile_ranges(lo, hi, columns):
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
+def _check_distinct(a, lo, Q, upper):
+    """Raise a DomainError naming the global indices of the first
+    coincident pair of the upper-triangle tile (a, Q, upper) of the chunk
+    starting at lo."""
+    bad = upper & (Q <= 0.0)
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise DomainError(f"coincident points at indices {a + int(i)} and {lo + int(j)}")
+
+
 def _tile_row_sums(m, s, a, lo, Q, upper):
     """Kernel sum of each row of the upper-triangle tile (a, Q, upper) of
     the chunk starting at lo, by numpy's deterministic row reduction.
 
     Coincident points raise a DomainError naming their global indices.
     """
-    bad = upper & (Q <= 0.0)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise DomainError(f"coincident points at indices {a + int(i)} and {lo + int(j)}")
+    _check_distinct(a, lo, Q, upper)
     safe = m.dist_from_sq(np.where(upper, Q, 1.0))
     return np.where(upper, safe ** (-s), 0.0).sum(axis=1)
 
@@ -101,40 +112,76 @@ def _tile_min(a, lo, Q, upper):
     return masked[i, j], (a + int(i), lo + int(j))
 
 
-def _tile_gradient(m, s, margins, a, x, y, Q, w):
-    """Unscaled gradient row sums of the full-row tile Q = sq_dist(x, y),
-    x the points a, a + 1, ... and y all N points, one (rows, ambient_dim)
-    array per cut margin; and the weights array w.
+def _squared_norms(v):
+    """Sum of the squares of v[0], v[1], ..., added in that order, as
+    sq_dist adds its axes."""
+    total = v[0] * v[0]
+    for component in v[1:]:
+        total += component * component
+    return total
 
-    A pair counts for a margin unless it is a self pair or lies within the
-    margin of the cut locus.  Distances and weights are computed once, on
-    the pairs that count for any margin; each margin then only masks the
-    weights, so its sums equal a pass with that margin alone.  They go into
-    w, the previous tile's (None for a chunk's first): freeing them with the
-    other temporaries let malloc return the tile's memory to the OS and
-    fault it in again, which doubled the pass time at N = 1024 on S^2.
+
+def _tile_gradient(m, s, margins, a, lo, x, y, buffers):
+    """Unscaled gradient terms of the upper-triangle tile of the points x,
+    rows a, a + 1, ..., against the (ambient_dim, N - lo) columns y, the
+    points from the chunk start lo on.
+
+    Returns the tile's squared distances Q, bit for bit those of sq_dist,
+    and per cut margin its (ambient_dim, rows) row sums.  buffers holds per
+    margin an (ambient_dim, rows + 1, N - lo) array whose row 0 is the
+    chunk's column sums so far; the tile's terms go into the rows after it
+    and are added to row 0 in row order.  A chunk's first tile, which has
+    the most rows, allocates them, and every later tile of the chunk reuses
+    them: allocating them per tile let malloc return the tile's memory to
+    the OS and fault it in again, about 30 times as many page faults and
+    twice the time of an S^2 pass at N = 4096.
+
+    Each pair i < j is computed once.  A pair counts for a margin unless it
+    lies within the margin of the cut locus.  Its deltas, distance and
+    weight w are computed once, on the pairs that count for the smallest
+    margin and so for any; each other margin then masks w once.  Q and w are symmetric in the pair and
+    the deltas antisymmetric, so the term w * delta of row i is, negated,
+    the term of row j: the row sums take it with a plus sign, the column
+    sums with a minus sign once the chunk is done.
     """
     sphere = isinstance(m, Sphere)
-    # deltas[k][i, j] is axis k of y - x for x = point a + i, y = point j
-    deltas = [m._axis_delta(y[..., k] - x[..., k]) for k in range(m.ambient_dim)]
-    live = np.arange(Q.shape[1])[None, :] != np.arange(a, a + len(Q))[:, None]
-    if np.any(live & (Q <= 0.0)):
-        raise DomainError("coincident points in the set")
+    # deltas[k, i, j] is axis k of y - x for x = point a + i, y = point lo + j
+    deltas = m._axis_delta(y[:, None, :] - x.T[:, :, None])
+    Q = _squared_norms(deltas)
+    upper = ~np.tri(*Q.shape, a - lo, dtype=bool)  # a + i < lo + j
+    _check_distinct(a, lo, Q, upper)
     # the sphere cuts at a squared chord, the torus at every axis delta
     reach = Q if sphere else np.abs(deltas).max(axis=0)
     cuts = [m.injectivity_radius * (1.0 - c) for c in margins]
-    lives = [live & (reach < (4.0 * math.sin(cut / 2.0) ** 2 if sphere else cut)) for cut in cuts]
-    live = np.logical_or.reduce(lives)
+    cuts = [4.0 * math.sin(cut / 2.0) ** 2 for cut in cuts] if sphere else cuts
+    # the smallest margin cuts furthest out: its pairs count for any margin
+    live = upper & (reach < max(cuts))
     q = np.where(live, Q, 1.0)
     dist = m.dist_from_sq(q)
-    # log_x(y) has length dist along u, the tangent part of y - x; on the
-    # sphere u = (y - x) + (q/2) x, so |u| = sqrt(q (1 - q/4)), and the
-    # final projection removes the x-part of y - x
-    u_norm = np.sqrt(q * (1.0 - q / 4.0)) if sphere else dist
-    w = np.divide(dist ** (-s - 1.0), u_norm, out=None if w is None else w[:len(Q)])
-    w[~live] = 0.0
-    return [np.stack([np.sum(np.where(lv, w, 0.0) * delta, axis=1) for delta in deltas], axis=1)
-            for lv in lives], w
+    # log_x(y) has length dist along u, the tangent part of y - x, and the
+    # sphere's final projection removes the x-part of y - x
+    u_norm = dist
+    if sphere:
+        # |u| = sin(dist) = |y - x| |y + x| / 2.  4 - q carries the rounding
+        # of q, about 1e-15, into |y + x|^2; below 1e-2, where that would
+        # cost |u| more than 1e-13 of itself, it comes from the coordinates
+        plus = 4.0 - q
+        i, j = np.nonzero(live & (plus < 1e-2))
+        plus[i, j] = _squared_norms(y[:, j] + x[i].T)
+        u_norm = np.sqrt(q * plus) / 2.0
+    w = dist ** (-s - 1.0) / u_norm
+    w *= live  # finite where live masked q to 1, so 0 there
+    rows = []
+    for k, cut in enumerate(cuts):
+        if buffers[k] is None:
+            buffers[k] = np.zeros((len(deltas), len(Q) + 1, Q.shape[1]))
+        terms = buffers[k][:, :len(Q) + 1]
+        np.multiply(w if cut == max(cuts) else w * (reach < cut), deltas, out=terms[:, 1:])
+        rows.append(terms[:, 1:].sum(axis=2))
+        # numpy adds the rows of each axis in order, so the column sums do
+        # not depend on the tile size
+        terms[:, 0] = terms.sum(axis=1)
+    return Q, rows
 
 
 def _jump_values(m: Manifold, Q: np.ndarray):
@@ -174,27 +221,34 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
 
     The rows (code points, then extra centers) are walked in chunks of
     CHUNK_ROWS, each in tiles of whole rows.  A tile's columns are the code
-    points from the chunk start lo on, or all of them for centers or the
-    gradient; its code-point rows from column lo on are the upper-triangle
-    tile that feeds the pair reductions before the jump values sort it.
+    points from the chunk start lo on, or all of them for centers; its
+    code-point rows from column lo on are the upper-triangle tile that
+    feeds the pair reductions and the gradient before the jump values sort
+    it.  Each chunk's gradient partial is folded into the totals in chunk
+    order as it comes back, never all of them held at once.
     """
     m, n = X.manifold, X.n
     rows = X.coords if extra is None else np.concatenate([X.coords, extra])
     cols = X.coords.T.copy().T[None]  # (1, N, d), each axis contiguous for sq_dist
     pairs = s is not None or separation or distances
+    if gradient is not None:
+        totals = np.zeros((len(gradient[1]), m.ambient_dim, n))
 
     def work(chunk):
         # the thread unit is a chunk, not a tile: tile-sized tasks made two
         # threads slower than one
         lo, hi = chunk
-        start = lo if extra is None and gradient is None else 0
-        sums, mins, dists, jumps, grads = [], [], [], [], []
-        w = None
+        start = lo if extra is None else 0
+        sums, mins, dists, jumps, grad_rows = [], [], [], [], []
+        # per margin the column sums and the tile's terms, reused by every
+        # tile of the chunk
+        buffers = None if gradient is None else [None] * len(gradient[1])
         for a, b in _tile_ranges(lo, hi, n - start):
-            Q = m.sq_dist(rows[a:b, None, :], cols[:, start:])
-            if gradient is not None:
-                g, w = _tile_gradient(m, *gradient, a, rows[a:b, None, :], cols, Q, w)
-                grads.append(g)
+            if gradient is None:
+                Q = m.sq_dist(rows[a:b, None, :], cols[:, start:])
+            else:
+                Q, g = _tile_gradient(m, *gradient, a, lo, rows[a:b], cols[0, lo:].T, buffers)
+                grad_rows.append(g)
             if pairs and a < n:  # rows from n on are extra centers
                 T = Q[:min(b, n) - a, lo - start:]  # T[i, j] is the pair (a + i, lo + j)
                 upper = ~np.tri(*T.shape, a - lo, dtype=bool)  # a + i < lo + j
@@ -207,10 +261,22 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
             if extra is not None:
                 above, below = _jump_values(m, Q)
                 jumps.append(np.maximum(above.max(axis=1), below.max(axis=1)))
-        return sums, mins, dists, jumps, grads
+        partial = None
+        if gradient is not None:
+            # per margin, row sums minus column sums over points lo..N-1
+            partial = -np.stack([buf[:, 0] for buf in buffers])
+            partial[:, :, :hi - lo] += np.concatenate(
+                [np.stack(g) for g in grad_rows], axis=2)
+        return lo, partial, (sums, mins, dists, jumps)
 
-    sums, mins, dists, jumps, grads = zip(*map_ordered(
-        work, chunk_ranges(len(rows), CHUNK_ROWS), threads))
+    def fold(out):
+        lo, partial, reductions = out
+        if partial is not None:
+            totals[:, :, lo:] += partial
+        return reductions
+
+    sums, mins, dists, jumps = zip(*map_ordered(
+        work, chunk_ranges(len(rows), CHUNK_ROWS), threads, fold))
     return _PassResult(
         # compensated within each chunk, then over the chunks: this fixes the bits
         None if s is None else 2.0 * compensated_sum(
@@ -219,10 +285,10 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
         min((t for c in mins for t in c), key=lambda t: t[0]) if separation else None,
         np.concatenate([t for c in dists for t in c]) if distances else None,
         None if extra is None else np.concatenate([t for c in jumps for t in c]),
-        # per margin, the tiles' row sums in row order, scaled, then projected
+        # per margin, the folded sums scaled, then projected
         None if gradient is None else tuple(
-            m._project_tangent(X.coords, 2.0 * gradient[0] / (n * n) * np.concatenate(g))
-            for g in zip(*(t for c in grads for t in c))))
+            m._project_tangent(X.coords, 2.0 * gradient[0] / (n * n) * np.ascontiguousarray(g.T))
+            for g in totals))
 
 
 def discrete_energy(X, s: float, threads=None) -> float:
@@ -324,7 +390,9 @@ def _torus_radial(m: FlatTorus, s: float, tol: float) -> float:
     if d == 3:
         # (1/2, sqrt2/2]: density 6 pi r - 8 pi r^2 (sphere minus face caps)
         def anti(r):
-            return 6.0 * math.pi * r ** (2 - s) / (2 - s) - 8.0 * math.pi * r ** (3 - s) / (3 - s)
+            # at s = 2 the first term's antiderivative is the logarithm
+            first = math.log(r) if s == 2 else r ** (2 - s) / (2 - s)
+            return 6.0 * math.pi * first - 8.0 * math.pi * r ** (3 - s) / (3 - s)
 
         mid = anti(SQRT2_2) - anti(0.5)
         # (sqrt2/2, sqrt3/2]: integrate by parts against the exact volume,

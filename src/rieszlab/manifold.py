@@ -40,14 +40,22 @@ def _gauss_legendre_rule():
 def _gauss_legendre_01(f):
     """Integral of f over [0, 1] by a fixed 20-node Gauss-Legendre rule.
 
-    f maps one node u (a float) to an array over a batch, for example one
-    value per radius.  The weighted values are added node by node in a fixed
-    order, so an element's bits do not depend on the batch it arrives in.
+    f maps the nodes, a (20, 1) column, to a (20, n) array over a batch, for
+    example one value per radius.  The weighted rows are added in node order
+    (np.add.accumulate adds in order for any n, where sum would switch to
+    pairwise addition for n = 1), so an element's bits do not depend on the
+    batch it arrives in.
     """
-    total = 0.0
-    for u, w in zip(*_gauss_legendre_rule()):
-        total = total + w * f(float(u))
-    return total
+    nodes, weights = _gauss_legendre_rule()
+    return np.add.accumulate(weights[:, None] * f(nodes[:, None]), axis=0)[-1]
+
+
+def _contiguous(q):
+    """q as a C-contiguous float array, 0-d kept 0-d: numpy's
+    transcendental ufuncs may round a strided view differently from the
+    same values contiguous.  A no-op on contiguous input."""
+    q = np.asarray(q, dtype=float)
+    return np.ascontiguousarray(q) if q.ndim else q
 
 
 class ManifoldKind(str, Enum):
@@ -303,6 +311,7 @@ class Sphere(Manifold):
     def dist_from_sq(self, q):
         # 2 atan(|x - y| / |x + y|) is accurate at every angle, arccos(<x, y>)
         # is not; q = 4 (or a rounded q > 4) divides by zero into atan(inf) = pi/2
+        q = _contiguous(q)
         with np.errstate(divide="ignore"):
             return 2.0 * np.arctan(np.sqrt(q / np.maximum(4.0 - q, 0.0)))
 
@@ -330,6 +339,7 @@ class Sphere(Manifold):
         return r / math.pi if self.dim == 1 else self.volume_from_sq(4.0 * np.sin(r / 2.0) ** 2)
 
     def volume_from_sq(self, q):
+        q = _contiguous(q)
         if self.dim == 1:
             return self.dist_from_sq(q) / math.pi
         # (1 - <x, y>) / 2 = q / 4 is Beta(d/2, d/2) under the uniform measure
@@ -375,12 +385,12 @@ class FlatTorus(Manifold):
     distances_from = Manifold.distances_from
 
     def dist_from_sq(self, q):
-        return np.sqrt(q)
+        return np.sqrt(_contiguous(q))
 
     def volume_from_sq(self, q):
         # c_d q^(d/2) up to the injectivity radius (q <= 1/4); beyond it the
         # clipped-ball formulas, on those entries only
-        arr = np.asarray(q, dtype=float)
+        arr = _contiguous(q)
         q = np.atleast_1d(arr)
         top = self.dim / 4.0  # the squared diameter
         out = _unit_ball_volume(self.dim) * q ** (self.dim / 2.0)

@@ -32,15 +32,21 @@ def resolve_threads(threads=None) -> int:
     return threads
 
 
-def map_ordered(fn, items, threads=None):
+def map_ordered(fn, items, threads=None, fold=None):
     """Apply fn to each item; results are returned in item order no
-    matter how many threads execute the work."""
+    matter how many threads execute the work.
+
+    With fold, each result is passed to fold in item order as soon as it
+    and every earlier one are done, and what fold returns takes its place,
+    so large per-item results can be folded away instead of all held.
+    """
     threads = resolve_threads(threads)
     items = list(items)
+    fold = fold or (lambda result: result)
     if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [fold(fn(item)) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return [fold(result) for result in pool.map(fn, items)]
 
 
 def chunk_ranges(n: int, chunk: int):

@@ -57,3 +57,37 @@ def torus_ball_volume_mp(dim, q):
         return 2 * mp.quad(lambda x: measure(d - 1, q - x * x), points)
 
     return measure(dim, mp.mpf(q))
+
+
+def dense_riesz_gradient(X, s, cut_margin=1e-12):
+    """Riemannian gradient of the discrete Riesz s-energy from every
+    ordered pair at once, in long double: pair (i, j) adds
+    dist^(-s-2) log_{x_i}(x_j), scaled by 2 s / N^2, unless it lies within
+    cut_margin * injectivity radius of the cut locus; then each row is
+    projected onto the tangent space.
+
+    The sphere's log map is the angle 2 atan2(|y - x|, |y + x|) along
+    y - <x, y> x; the torus's is the wrapped coordinate difference.
+    """
+    m = X.manifold
+    x = np.asarray(X.coords, dtype=np.longdouble)
+    n = len(x)
+    xi, xj = x[:, None, :], x[None, :, :]
+    cut = np.longdouble(m.injectivity_radius) * (1 - np.longdouble(cut_margin))
+    if m.kind.value == "sphere":
+        chord = np.sqrt(np.sum((xj - xi) ** 2, axis=2))
+        dist = 2 * np.arctan2(chord, np.sqrt(np.sum((xj + xi) ** 2, axis=2)))
+        tangent = xj - np.sum(xi * xj, axis=2)[:, :, None] * xi
+        norm = np.sqrt(np.sum(tangent ** 2, axis=2))
+        keep = dist < cut
+        log = np.where(keep, dist / np.where(keep, norm, 1), 0)[:, :, None] * tangent
+    else:
+        log = (xj - xi) - np.round(xj - xi)
+        dist = np.sqrt(np.sum(log ** 2, axis=2))
+        keep = np.max(np.abs(log), axis=2) < cut
+    keep &= ~np.eye(n, dtype=bool)
+    weight = np.where(keep, np.where(keep, dist, 1) ** (-s - 2), 0)
+    grad = 2 * np.longdouble(s) / n ** 2 * np.sum(weight[:, :, None] * log, axis=1)
+    if m.kind.value == "sphere":
+        grad -= np.sum(grad * x, axis=1)[:, None] * x
+    return grad.astype(float)

@@ -14,6 +14,8 @@ from rieszlab import (DomainError, InputError, PointSet, continuous_energy,
 from rieszlab.energy import pairwise_distances
 from rieszlab.rng import stream
 from cli_env import cli_env
+from oracles import dense_riesz_gradient
+from test_tiles import _cut_band_sets
 
 
 def naive_energy(X, s):
@@ -136,7 +138,7 @@ def test_torus1_energy_closed_form():
     assert got == pytest.approx(oracle, abs=1e-9)
 
 
-@pytest.mark.parametrize("d,s", [(1, 0.25), (1, 0.5), (3, 0.5), (3, 1.5), (3, 2.5)])
+@pytest.mark.parametrize("d,s", [(1, 0.25), (1, 0.5), (3, 0.5), (3, 1.5), (3, 2.0), (3, 2.5)])
 def test_torus_energy_matches_mpmath(d, s):
     # independent reference: on T^1, 2 * the integral of x^-s over (0, 1/2);
     # on T^3, the cube [-1/2, 1/2]^3 is 48 copies of 0 <= z <= y <= x <= 1/2,
@@ -313,6 +315,26 @@ def test_sphere_gradient_is_tangent(d):
     grad = energy_gradient(X, 0.5)
     radial = np.abs(np.sum(grad * X.coords, axis=1))
     assert radial.max() <= 1e-13 * np.abs(grad).max()
+
+
+def _gradient_sets():
+    out = {f"S{d}": sample_uniform(sphere(d), 60 + d, 300) for d in (1, 2, 3)}
+    out.update({f"T{d}": sample_uniform(flat_torus(d), 70 + d, 300) for d in (1, 2, 3)})
+    out.update({f"band-{name}": X for name, X in _cut_band_sets().items()})
+    return out
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "S3", "T1", "T2", "T3",
+                                  "band-S1", "band-S2", "band-T1", "band-T2"])
+def test_gradient_matches_dense_oracle(name):
+    # the band sets hold pairs between the descent's two cuts; on the sphere
+    # they are almost antipodal, where |u| must not come from 4 - q
+    X = _gradient_sets()[name]
+    for margin in (1e-12, 1e-2):
+        grad = energy_gradient(X, 0.5, cut_margin=margin)
+        oracle = dense_riesz_gradient(X, 0.5, margin)
+        scale = np.linalg.norm(oracle, axis=1).max()
+        assert np.abs(grad - oracle).max() <= 1e-12 * scale
 
 
 def test_sphere_gradient_drops_antipodal_pairs():

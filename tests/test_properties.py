@@ -1,13 +1,16 @@
 """Property tests of the T^3 ball volume, the one torus volume that needs a
-quadrature (the edge overlaps beyond r = sqrt(2)/2)."""
+quadrature (the edge overlaps beyond r = sqrt(2)/2), and of the energy
+gradient under a permutation of the points."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rieszlab import ball_volume, flat_torus
+from rieszlab import (PointSet, ball_volume, energy_gradient, flat_torus,
+                      kronecker_torus, sample_uniform, sphere)
 from rieszlab.manifold import SQRT2_2, SQRT3_2
+from test_tiles import _cut_band_sets
 
 T3 = flat_torus(3)
 # the closed form adds terms up to 4 pi / 3 (sqrt(3)/2)^3 ~ 2.7 to reach a
@@ -50,3 +53,26 @@ def test_torus3_volume_from_sq_is_ball_volume_of_distance(x, y):
     # the distance is sqrt(q), and squaring it back may move q by an ulp,
     # which moves c_3 q^(3/2) by about 1.5 ulps
     assert T3.volume_from_sq(q) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+# more than one 256-row chunk, so a permutation moves pairs between chunks,
+# tiles and the row and column sums
+GRADIENT_SETS = {
+    "S2": sample_uniform(sphere(2), 81, 300),
+    "S3": sample_uniform(sphere(3), 82, 300),
+    "T2": sample_uniform(flat_torus(2), 83, 300),
+    "T3": kronecker_torus(3, 300),
+    **{f"band-{name}": X for name, X in _cut_band_sets().items()},
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(GRADIENT_SETS)), st.permutations(range(300)))
+def test_gradient_rows_follow_a_permutation_of_the_points(name, order):
+    X = GRADIENT_SETS[name]
+    order = np.array(order)
+    grad = energy_gradient(X, 0.5)
+    permuted = energy_gradient(PointSet(X.manifold, X.coords[order]), 0.5)
+    # the sums run in another order, so only the rounding may differ
+    scale = np.linalg.norm(grad, axis=1).max()
+    assert np.abs(permuted - grad[order]).max() <= 1e-13 * scale

@@ -84,10 +84,20 @@ def test_coincident_pair_named_for_any_tile_size(monkeypatch):
         assert min_geodesic_distance(Y).pair == (270, 290)
 
 
-@pytest.mark.parametrize("n", [1024, 4096])
-@pytest.mark.parametrize("make", [fibonacci_sphere, lambda n: kronecker_torus(2, n)],
-                         ids=["S2", "T2"])
-def test_pass_memory_flat_in_n(make, n):
+def _torus2(n):
+    return kronecker_torus(2, n)
+
+
+@pytest.mark.parametrize("make,n,only", [
+    pytest.param(fibonacci_sphere, 1024, None, id="S2-1024"),
+    pytest.param(fibonacci_sphere, 4096, None, id="S2-4096"),
+    pytest.param(_torus2, 1024, None, id="T2-1024"),
+    pytest.param(_torus2, 4096, None, id="T2-4096"),
+    # the gradient folds each chunk's (N - lo, d) partial as it comes back;
+    # holding all N / CHUNK_ROWS of them would pass 4 MiB here
+    pytest.param(_torus2, 8192, ("gradient", "gradient_pair"), id="T2-8192"),
+])
+def test_pass_memory_flat_in_n(make, n, only):
     X = make(n)
     passes = {
         "energy": lambda: discrete_energy(X, 1.0),
@@ -102,6 +112,8 @@ def test_pass_memory_flat_in_n(make, n):
     tracemalloc.start()
     try:
         for label, run in passes.items():
+            if only is not None and label not in only:
+                continue
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             run()
