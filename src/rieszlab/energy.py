@@ -32,7 +32,7 @@ from scipy import integrate
 
 from .errors import DomainError, InputError
 from .manifold import (SQRT2_2, SQRT3_2, FlatTorus, Manifold, Point, Sphere,
-                       _unit_ball_volume)
+                       _unit_ball_volume, sum_of_squares)
 from .parallel import chunk_ranges, map_ordered
 
 # Fixed row-chunk size for pairwise reductions.  Chunk boundaries (and
@@ -112,15 +112,6 @@ def _tile_min(a, lo, Q, upper):
     return masked[i, j], (a + int(i), lo + int(j))
 
 
-def _squared_norms(v):
-    """Sum of the squares of v[0], v[1], ..., added in that order, as
-    sq_dist adds its axes."""
-    total = v[0] * v[0]
-    for component in v[1:]:
-        total += component * component
-    return total
-
-
 def _tile_gradient(m, s, margins, a, lo, x, y, buffers):
     """Unscaled gradient terms of the upper-triangle tile of the points x,
     rows a, a + 1, ..., against the (ambient_dim, N - lo) columns y, the
@@ -136,47 +127,43 @@ def _tile_gradient(m, s, margins, a, lo, x, y, buffers):
     the OS and fault it in again, about 30 times as many page faults and
     twice the time of an S^2 pass at N = 4096.
 
-    Each pair i < j is computed once.  A pair counts for a margin unless it
-    lies within the margin of the cut locus.  Its deltas, distance and
-    weight w are computed once, on the pairs that count for the smallest
-    margin and so for any; each other margin then masks w once.  Q and w are symmetric in the pair and
-    the deltas antisymmetric, so the term w * delta of row i is, negated,
-    the term of row j: the row sums take it with a plus sign, the column
-    sums with a minus sign once the chunk is done.
+    Each pair i < j is computed once.  It counts for a margin unless its
+    distance (on the torus, any axis delta) lies within the margin of the
+    cut locus.  Its deltas, distance and weight w are computed once; each
+    margin then masks w.  Q and w are symmetric in the pair and the deltas
+    antisymmetric, so the term w * delta of row i is, negated, the term of
+    row j: the row sums take it with a plus sign, the column sums with a
+    minus sign once the chunk is done.
     """
-    sphere = isinstance(m, Sphere)
     # deltas[k, i, j] is axis k of y - x for x = point a + i, y = point lo + j
     deltas = m._axis_delta(y[:, None, :] - x.T[:, :, None])
-    Q = _squared_norms(deltas)
+    Q = sum_of_squares(deltas)
     upper = ~np.tri(*Q.shape, a - lo, dtype=bool)  # a + i < lo + j
     _check_distinct(a, lo, Q, upper)
-    # the sphere cuts at a squared chord, the torus at every axis delta
-    reach = Q if sphere else np.abs(deltas).max(axis=0)
-    cuts = [m.injectivity_radius * (1.0 - c) for c in margins]
-    cuts = [4.0 * math.sin(cut / 2.0) ** 2 for cut in cuts] if sphere else cuts
-    # the smallest margin cuts furthest out: its pairs count for any margin
-    live = upper & (reach < max(cuts))
-    q = np.where(live, Q, 1.0)
-    dist = m.dist_from_sq(q)
-    # log_x(y) has length dist along u, the tangent part of y - x, and the
+    # log_x(y) has length dist along u, the tangent part of y - x; the
     # sphere's final projection removes the x-part of y - x
-    u_norm = dist
-    if sphere:
-        # |u| = sin(dist) = |y - x| |y + x| / 2.  4 - q carries the rounding
-        # of q, about 1e-15, into |y + x|^2; below 1e-2, where that would
-        # cost |u| more than 1e-13 of itself, it comes from the coordinates
-        plus = 4.0 - q
-        i, j = np.nonzero(live & (plus < 1e-2))
-        plus[i, j] = _squared_norms(y[:, j] + x[i].T)
-        u_norm = np.sqrt(q * plus) / 2.0
-    w = dist ** (-s - 1.0) / u_norm
-    w *= live  # finite where live masked q to 1, so 0 there
+    with np.errstate(divide="ignore", invalid="ignore"):  # off live pairs
+        if isinstance(m, Sphere):
+            # dist = 2 atan(|y - x| / |y + x|) and |u| = sin(dist) =
+            # |y - x| |y + x| / 2 keep their digits up to the antipode, where
+            # |y + x|^2 = 4 - Q would not: there it is 0, the distance pi
+            plus = sum_of_squares(y[k] + x[:, k, None] for k in range(len(y)))
+            reach = dist = 2.0 * np.arctan(np.sqrt(Q / plus))
+            u_norm = np.sqrt(Q * plus) / 2.0
+        else:
+            reach = np.abs(deltas).max(axis=0)
+            dist = u_norm = m.dist_from_sq(Q)
+        cuts = [m.injectivity_radius * (1.0 - c) for c in margins]
+        # the smallest margin cuts furthest out: its pairs count for any margin
+        live = upper & (reach < max(cuts))
+        w = np.where(live, dist ** (-s - 1.0) / u_norm, 0.0)
     rows = []
     for k, cut in enumerate(cuts):
         if buffers[k] is None:
             buffers[k] = np.zeros((len(deltas), len(Q) + 1, Q.shape[1]))
         terms = buffers[k][:, :len(Q) + 1]
-        np.multiply(w if cut == max(cuts) else w * (reach < cut), deltas, out=terms[:, 1:])
+        np.multiply(w if cut == max(cuts) else np.where(reach < cut, w, 0.0),
+                    deltas, out=terms[:, 1:])
         rows.append(terms[:, 1:].sum(axis=2))
         # numpy adds the rows of each axis in order, so the column sums do
         # not depend on the tile size

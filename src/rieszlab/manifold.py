@@ -50,6 +50,16 @@ def _gauss_legendre_01(f):
     return np.add.accumulate(weights[:, None] * f(nodes[:, None]), axis=0)[-1]
 
 
+def sum_of_squares(components):
+    """Sum of c * c over the arrays c of components, added in their order:
+    the one accumulation behind sq_dist.  A squared norm built from the same
+    axis deltas (or axis sums) through it has the bits sq_dist would give."""
+    total = 0.0
+    for c in components:
+        total += c * c
+    return total
+
+
 def _contiguous(q):
     """q as a C-contiguous float array, 0-d kept 0-d: numpy's
     transcendental ufuncs may round a strided view differently from the
@@ -199,12 +209,8 @@ class Manifold(ABC):
         """Squared-distance kernel between a and b, which broadcast over
         their leading axes: the squared axis deltas, added in axis order."""
         a, b = np.asarray(a), np.asarray(b)
-        q = 0.0
-        for k in range(self.ambient_dim):
-            delta = self._axis_delta(b[..., k] - a[..., k])
-            delta *= delta  # a fresh array: square it in place
-            q += delta
-        return q
+        return sum_of_squares(self._axis_delta(b[..., k] - a[..., k])
+                              for k in range(self.ambient_dim))
 
     @abstractmethod
     def dist_from_sq(self, q):

@@ -11,11 +11,12 @@ from rieszlab import (DomainError, InputError, PointSet, continuous_energy,
                       energy_via_distance_cdf, flat_torus, mean_potential,
                       minimize_riesz_energy, punctured_mean_potential,
                       riesz_kernel, sample_uniform, sphere)
+from rieszlab import energy
 from rieszlab.energy import pairwise_distances
 from rieszlab.rng import stream
 from cli_env import cli_env
 from oracles import dense_riesz_gradient
-from test_tiles import _cut_band_sets
+from test_tiles import _bytes, _cut_band_sets
 
 
 def naive_energy(X, s):
@@ -321,14 +322,28 @@ def _gradient_sets():
     out = {f"S{d}": sample_uniform(sphere(d), 60 + d, 300) for d in (1, 2, 3)}
     out.update({f"T{d}": sample_uniform(flat_torus(d), 70 + d, 300) for d in (1, 2, 3)})
     out.update({f"band-{name}": X for name, X in _cut_band_sets().items()})
+    out.update({f"antipode-{name}": X for name, X in _rounded_antipode_sets().items()})
+    return out
+
+
+def _rounded_antipode_sets():
+    """Sets whose points 0 and 1 are x and -x exactly, with |x|^2 rounded
+    below 1, so that their squared chord rounds below 4."""
+    out = {}
+    for d, v in ((1, [1.19, -0.35]), (2, [-0.9, -2.84, 0.08])):
+        x = np.array(v) / np.linalg.norm(v)
+        rest = sample_uniform(sphere(d), 80 + d, 20).coords
+        out[f"S{d}"] = PointSet(sphere(d), np.vstack([x, -x, rest]))
     return out
 
 
 @pytest.mark.parametrize("name", ["S1", "S2", "S3", "T1", "T2", "T3",
-                                  "band-S1", "band-S2", "band-T1", "band-T2"])
+                                  "band-S1", "band-S2", "band-T1", "band-T2",
+                                  "antipode-S1", "antipode-S2"])
 def test_gradient_matches_dense_oracle(name):
     # the band sets hold pairs between the descent's two cuts; on the sphere
-    # they are almost antipodal, where |u| must not come from 4 - q
+    # they are almost antipodal, where |u| must not come from 4 - q.  The
+    # antipode sets hold a pair at distance pi whose q rounds below 4
     X = _gradient_sets()[name]
     for margin in (1e-12, 1e-2):
         grad = energy_gradient(X, 0.5, cut_margin=margin)
@@ -345,6 +360,23 @@ def test_sphere_gradient_drops_antipodal_pairs():
     pull = 2.0 / 9.0 * s * (math.pi / 2) ** (-s - 1.0)
     grad = energy_gradient(X, s)
     assert np.allclose(grad, [[0.0, pull], [0.0, pull], [0.0, 0.0]], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["S1", "S2"])
+def test_shared_gradient_pass_drops_rounded_antipodes(name):
+    # |y + x|^2 is 0 from the coordinates: the pair is at distance pi and
+    # counts for no margin, however q rounds
+    X = _rounded_antipode_sets()[name]
+    assert np.array_equal(X.coords[1], -X.coords[0])
+    assert X.manifold.sq_dist(X.coords[0], X.coords[1]) < 4.0
+    margins = (1e-12, 1e-2)
+    shared = energy._chunked_pass(X, gradient=(0.5, margins)).gradients
+    assert all(np.all(np.isfinite(g)) for g in shared)
+    assert [_bytes(g) for g in shared] == [
+        _bytes(energy_gradient(X, 0.5, cut_margin=c)) for c in margins]
+    Y = minimize_riesz_energy(X, 0.5, max_iters=2)
+    assert np.all(np.isfinite(Y.coords))
+    assert Y.provenance["energy_trace"][-1] < Y.provenance["energy_trace"][0]
 
 
 def test_energy_report_fields():
