@@ -45,13 +45,17 @@ def format_pointset(X: PointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_pointset(X: PointSet, path: str) -> None:
-    text = format_pointset(X)
+def _write(text: str, path: str) -> None:
+    """Write text to the file at path, or to stdout when path is '-'."""
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def save_pointset(X: PointSet, path: str) -> None:
+    _write(format_pointset(X), path)
 
 
 def _number(key: str, value: str, kind):
@@ -77,7 +81,7 @@ def parse_pointset(text: str) -> PointSet:
                     header[key] = value
             continue
         try:
-            rows.append([float(tok) for tok in line.split()])
+            rows.append((lineno, [float(tok) for tok in line.split()]))
         except ValueError as exc:
             raise InputError(f"bad coordinate row at line {lineno}: {line!r}") from exc
     for key in ("manifold", "dim", "n"):
@@ -89,15 +93,17 @@ def parse_pointset(text: str) -> PointSet:
     n = _number("n", header["n"], int)
     if len(rows) != n:
         raise InputError(f"header says n={n} but the file has {len(rows)} rows")
-    coords = np.array(rows, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != m.ambient_dim:
-        raise InputError(
-            f"rows must have {m.ambient_dim} coordinates, got shape {coords.shape}")
-    _warn_on_drift(m, coords)
+    for lineno, row in rows:
+        if len(row) != m.ambient_dim:
+            raise InputError(f"row at line {lineno} has {len(row)} coordinates, "
+                             f"expected {m.ambient_dim}")
+    coords = np.array([row for _, row in rows], dtype=float)
     prov = {"generator": header.get("generator", "unknown")}
     if header.get("seed", "") not in ("", "None"):
         prov["seed"] = _number("seed", header["seed"], int)
-    return PointSet(m, coords, provenance=prov)
+    X = PointSet(m, coords, provenance=prov)  # size and finiteness before the drift
+    _warn_on_drift(m, coords)
+    return X
 
 
 def _warn_on_drift(m: Manifold, coords: np.ndarray) -> None:
@@ -131,13 +137,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit_json(payload: dict, path: str) -> None:
-    payload = {"version": __version__, **payload}
-    text = json.dumps(payload, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(json.dumps({"version": __version__, **payload}, indent=2) + "\n", path)
 
 
 def _build_parser() -> _Parser:

@@ -16,7 +16,7 @@ its row equals the three separate calls by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,16 +44,7 @@ class DiscrepancyEstimate:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "value": self.value,
-            "center": [float(c) for c in self.center.coords],
-            "center_index": self.center_index,
-            "radius": self.radius,
-            "side": self.side,
-            "center_set": self.center_set,
-            "provenance": self.provenance,
-        }
+        return {**asdict(self), "center": [float(c) for c in self.center.coords]}
 
 
 def ball_count(X, y: Point, r: float) -> int:

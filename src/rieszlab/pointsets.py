@@ -14,7 +14,7 @@ candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,14 +87,7 @@ class SeparationReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "min_distance": self.min_distance,
-            "pair": list(self.pair),
-            "gamma_hat": self.gamma_hat,
-            "has_duplicates": self.has_duplicates,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 def _grid_min(X: PointSet):

@@ -324,36 +324,24 @@ def check_small_ball_energy(m: Manifold, s: float, radii=None,
 
 def check_mean_potential_holder(m: Manifold, s: float, pairs: int = 20, seed: int = 0,
                                 tol: float = DEFAULT_QUAD_TOL) -> BoundCheckReport:
-    """Ratio |U(x) - U(x')| / t^((d-s)/(d+1)) over seeded pairs at
-    distance <= t, for t spanning several decades.
+    """Ratio |U(x) - U(x')| / t^((d-s)/(d+1)) for pairs at distance
+    <= t, for t spanning several decades.
 
-    On the homogeneous manifolds implemented here the mean potential is
-    constant, so the ratios are ~0 and the check passes degenerately;
-    the plumbing (pair construction, exponent) is still exercised.
+    On the homogeneous manifolds implemented here the mean potential U is
+    constant (see mean_potential), so every ratio is exactly 0 and the
+    check passes degenerately; no pairs are drawn.  U is still evaluated
+    once, so a manifold or exponent where it is undefined raises.
     """
     check_exponent(s, m.dim)
     if pairs < 1:
         raise InputError("need at least one pair")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     beta = holder_exponent(m.dim, s)
-    rng = stream(seed, "holder-pairs")
     r0 = m.injectivity_radius
     scales = np.geomspace(r0 * 1e-4, r0 * 1e-1, 4)
-    # U is position-independent (see mean_potential): one evaluation gives
-    # U(x) and U(x') for every pair
-    u = mean_potential(m, m.origin(), s, tol)
+    mean_potential(m, m.origin(), s, tol)
     worst = 0.0
-    for t in scales:
-        for _ in range(pairs):
-            x = m._sample(rng, 1)[0]
-            v = rng.standard_normal(m.ambient_dim)
-            v = m._project_tangent(x, v)
-            norm = np.linalg.norm(v)
-            if norm == 0.0:
-                continue
-            x2 = m.exp_array(x[None, :], (t / norm * v)[None, :])[0]
-            m.point(x2)  # U(x') = u, but x' must still be a valid point
-            du = abs(u - u)
-            worst = max(worst, float(du / t ** beta))
     return BoundCheckReport(
         check="mean-potential-holder",
         manifold=m.describe(),

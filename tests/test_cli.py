@@ -59,6 +59,20 @@ def test_parse_rejects_missing_header():
         parse_pointset("0.1 0.2\n")
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("1 0 0\n0 1\n", "error: row at line 4 has 2 coordinates, expected 3"),
+    ("1 0\n0 1 0\n", "error: row at line 3 has 2 coordinates, expected 3"),
+    ("1 0 0\ninf 1 0\n", "error: non-finite coordinates"),
+    ("1 0 0\nnan 1 0\n", "error: non-finite coordinates"),
+], ids=["short-last-row", "short-first-row", "inf", "nan"])
+def test_malformed_coordinate_rows_exit_one(tmp_path, capsys, rows, message):
+    pts = tmp_path / "p.txt"
+    pts.write_text("# manifold=sphere dim=2\n# n=2\n" + rows)
+    code, _, err = run_cli(["separation", "--in", str(pts)], capsys)
+    assert code == 1
+    assert err == message + "\n"  # no traceback, no drift warning first
+
+
 def test_load_warns_on_drift(capsys):
     text = "# manifold=sphere dim=2\n# n=1\n1.000001 0 0\n"
     X = parse_pointset(text)
@@ -166,6 +180,7 @@ def test_rate_malformed_number_exits_one(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key,value", [
     ("seed", "-1"), ("quad_tol", "-1"), ("quad_tol", "0"), ("quad_tol", "nan"),
+    ("quad_tol", "inf"),
 ])
 def test_rate_out_of_range_value_exits_one(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.txt"
@@ -174,6 +189,16 @@ def test_rate_out_of_range_value_exits_one(tmp_path, capsys, key, value):
                             str(tmp_path / "o.csv"), "--out-json", "-"], capsys)
     assert code == 1
     assert f"error: {key} must be" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_energy_out_of_range_tol_exits_one(tmp_path, capsys, tol):
+    pts = str(tmp_path / "p.txt")
+    save_pointset(fibonacci_sphere(8), pts)
+    code, out, err = run_cli(["energy", "--in", pts, "--s", "1", "--tol", tol], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: quad_tol must be finite and > 0" in err
 
 
 def test_generate_negative_seed_exits_one(tmp_path, capsys):

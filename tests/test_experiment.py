@@ -94,6 +94,11 @@ def test_sweep_csv_shape():
     first = lines[1].split(",")
     assert int(first[0]) == 32
     assert float(first[3]) == report.rows[0].gap
+    # the CSV and the JSON report carry the same row mapping
+    json_rows = report.to_dict()["rows"]
+    assert all(list(row) == CSV_COLUMNS for row in json_rows)
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == \
+        [list(row.values()) for row in json_rows]
 
 
 def test_sweep_serialization_excludes_runtimes():

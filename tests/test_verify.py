@@ -258,6 +258,12 @@ def test_holder_check_degenerate_zero(m, s):
     assert rep.params["degenerate_by_homogeneity"]
 
 
+@pytest.mark.parametrize("kwargs", [{"pairs": 0}, {"seed": -1}])
+def test_holder_check_rejects_bad_input(kwargs):
+    with pytest.raises(InputError):
+        check_mean_potential_holder(sphere(2), 1.0, **kwargs)
+
+
 def test_holder_check_exponent_recorded():
     rep = check_mean_potential_holder(sphere(2), 1.0, pairs=2, seed=1)
     assert rep.constants["exponent"] == pytest.approx(1.0 / 3.0, abs=1e-15)
