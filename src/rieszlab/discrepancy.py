@@ -49,7 +49,7 @@ class DiscrepancyEstimate:
 
 def ball_count(X, y: Point, r: float) -> int:
     """Number of code points inside the closed ball B(y, r)."""
-    if r < 0:
+    if not (r >= 0):
         raise InputError("ball radius must be >= 0")
     d = X.manifold.distances_from(np.asarray(y.coords, dtype=float), X.coords)
     return int(np.count_nonzero(d <= r))
@@ -73,7 +73,7 @@ def center_discrepancy(X, y: Point):
     return float(vals[k]), float(radii[k]), SIDE_ABOVE if sides[k] == 0 else SIDE_BELOW
 
 
-def _tiled_pass(X, extra_centers: int | None, seed: int, threads, s: float | None = None):
+def _tiled_pass(X, extra_centers: int | None, seed: int, s: float | None = None):
     """One energy._chunked_pass over the centers: the N code points, then
     extra_centers seeded uniform ones (default 4N).  With s given, the
     same pass also reduces the energy and the brute-force separation, so
@@ -90,7 +90,7 @@ def _tiled_pass(X, extra_centers: int | None, seed: int, threads, s: float | Non
         raise InputError("extra_centers must be >= 0")
     n = X.n
     extra = X.manifold._sample(stream(seed, "discrepancy-centers"), extra_centers)
-    result = _chunked_pass(X, s=s, separation=s is not None, extra=extra, threads=threads)
+    result = _chunked_pass(X, s=s, separation=s is not None, extra=extra)
     k = int(np.argmax(result.jumps))  # first occurrence = smallest center index
     center = Point((X.coords[k] if k < n else extra[k - n]).copy())
     value, radius, side = center_discrepancy(X, center)
@@ -112,8 +112,7 @@ def _tiled_pass(X, extra_centers: int | None, seed: int, threads, s: float | Non
     return estimate, result.energy, separation
 
 
-def estimate_discrepancy(X, extra_centers: int | None = None, seed: int = 0,
-                         threads=None) -> DiscrepancyEstimate:
+def estimate_discrepancy(X, extra_centers: int | None = None, seed: int = 0) -> DiscrepancyEstimate:
     """Maximum of center_discrepancy over all code points plus
     extra_centers seeded uniform centers (default 4N extras).
 
@@ -122,5 +121,5 @@ def estimate_discrepancy(X, extra_centers: int | None = None, seed: int = 0,
     smallest center index, then per center by the smallest radius and the
     'above' side, so the arg max is deterministic for any thread count.
     """
-    return _tiled_pass(X, extra_centers, seed, threads)[0]
+    return _tiled_pass(X, extra_centers, seed)[0]
 

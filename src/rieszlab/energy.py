@@ -15,10 +15,11 @@ column sum of its second; the column sums take the tiles' rows in row
 order, and each chunk's sums are folded into the result in chunk order as
 the chunk comes back.  Each chunk is computed in tiles of whole rows
 holding about TILE_ELEMS entries, so TILE_ELEMS fixes the memory: a pass
-uses O(TILE_ELEMS + N) of it.  Both sizes depend on N only, never on
-the thread count (RIESZ_THREADS or a threads argument), and the kernel
-makes no BLAS call, so results agree bit for bit for any number of
-threads.
+uses O(TILE_ELEMS + N) of it.  Each tile's squared distances, its upper
+triangle and its coincident-pair check are computed once and read by
+every reduction asked for.  Both sizes depend on N only, never on the
+thread count (RIESZ_THREADS), and the kernel makes no BLAS call, so
+results agree bit for bit for any number of threads.
 """
 
 from __future__ import annotations
@@ -52,12 +53,18 @@ def check_exponent(s: float, d: int) -> None:
         raise DomainError(f"Riesz exponent must satisfy 0 < s < d={d}, got s={s}")
 
 
+def _check_quad_tol(tol: float) -> None:
+    """The absolute quadrature tolerance must be finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"quad_tol must be finite and > 0, got {tol}")
+
+
 def riesz_kernel(r, s: float):
     """Riesz kernel r^(-s) for r > 0."""
-    if s <= 0:
+    if not (s > 0):
         raise DomainError(f"kernel exponent must be positive, got {s}")
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise DomainError("Riesz kernel requires a positive distance (coincident points?)")
     out = arr ** (-s)
     return float(out) if arr.ndim == 0 else out
@@ -92,13 +99,9 @@ def _check_distinct(a, lo, Q, upper):
         raise DomainError(f"coincident points at indices {a + int(i)} and {lo + int(j)}")
 
 
-def _tile_row_sums(m, s, a, lo, Q, upper):
-    """Kernel sum of each row of the upper-triangle tile (a, Q, upper) of
-    the chunk starting at lo, by numpy's deterministic row reduction.
-
-    Coincident points raise a DomainError naming their global indices.
-    """
-    _check_distinct(a, lo, Q, upper)
+def _tile_row_sums(m, s, Q, upper):
+    """Kernel sum of each row of the upper-triangle tile (Q, upper), whose
+    pairs are distinct, by numpy's deterministic row reduction."""
     safe = m.dist_from_sq(np.where(upper, Q, 1.0))
     return np.where(upper, safe ** (-s), 0.0).sum(axis=1)
 
@@ -112,20 +115,19 @@ def _tile_min(a, lo, Q, upper):
     return masked[i, j], (a + int(i), lo + int(j))
 
 
-def _tile_gradient(m, s, margins, a, lo, x, y, buffers):
-    """Unscaled gradient terms of the upper-triangle tile of the points x,
-    rows a, a + 1, ..., against the (ambient_dim, N - lo) columns y, the
-    points from the chunk start lo on.
+def _tile_gradient(m, s, margins, x, y, Q, upper, buffers):
+    """Unscaled gradient terms of the upper-triangle tile (Q, upper) of the
+    points x against the (ambient_dim, N - lo) columns y, the points from
+    the chunk start lo on; its pairs are distinct.
 
-    Returns the tile's squared distances Q, bit for bit those of sq_dist,
-    and per cut margin its (ambient_dim, rows) row sums.  buffers holds per
-    margin an (ambient_dim, rows + 1, N - lo) array whose row 0 is the
-    chunk's column sums so far; the tile's terms go into the rows after it
-    and are added to row 0 in row order.  A chunk's first tile, which has
-    the most rows, allocates them, and every later tile of the chunk reuses
-    them: allocating them per tile let malloc return the tile's memory to
-    the OS and fault it in again, about 30 times as many page faults and
-    twice the time of an S^2 pass at N = 4096.
+    Returns per cut margin the tile's (ambient_dim, rows) row sums.
+    buffers holds per margin an (ambient_dim, rows + 1, N - lo) array whose
+    row 0 is the chunk's column sums so far; the tile's terms go into the
+    rows after it and are added to row 0 in row order.  A chunk's first
+    tile, which has the most rows, allocates them, and every later tile of
+    the chunk reuses them: allocating them per tile let malloc return the
+    tile's memory to the OS and fault it in again, about 30 times as many
+    page faults and twice the time of an S^2 pass at N = 4096.
 
     Each pair i < j is computed once.  It counts for a margin unless its
     distance (on the torus, any axis delta) lies within the margin of the
@@ -135,11 +137,8 @@ def _tile_gradient(m, s, margins, a, lo, x, y, buffers):
     row j: the row sums take it with a plus sign, the column sums with a
     minus sign once the chunk is done.
     """
-    # deltas[k, i, j] is axis k of y - x for x = point a + i, y = point lo + j
+    # deltas[k, i, j] is axis k of y - x for x = row i, y = column j
     deltas = m._axis_delta(y[:, None, :] - x.T[:, :, None])
-    Q = sum_of_squares(deltas)
-    upper = ~np.tri(*Q.shape, a - lo, dtype=bool)  # a + i < lo + j
-    _check_distinct(a, lo, Q, upper)
     # log_x(y) has length dist along u, the tangent part of y - x; the
     # sphere's final projection removes the x-part of y - x
     with np.errstate(divide="ignore", invalid="ignore"):  # off live pairs
@@ -168,7 +167,7 @@ def _tile_gradient(m, s, margins, a, lo, x, y, buffers):
         # numpy adds the rows of each axis in order, so the column sums do
         # not depend on the tile size
         terms[:, 0] = terms.sum(axis=1)
-    return Q, rows
+    return rows
 
 
 def _jump_values(m: Manifold, Q: np.ndarray):
@@ -193,7 +192,7 @@ _PassResult = namedtuple("_PassResult", "energy separation distances jumps gradi
 
 
 def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
-                  threads=None, gradient=None) -> _PassResult:
+                  gradient=None) -> _PassResult:
     """The one chunked, tiled pass over the squared distances (sq_dist)
     of the point set X, with only the reductions asked for:
 
@@ -208,16 +207,17 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
 
     The rows (code points, then extra centers) are walked in chunks of
     CHUNK_ROWS, each in tiles of whole rows.  A tile's columns are the code
-    points from the chunk start lo on, or all of them for centers; its
-    code-point rows from column lo on are the upper-triangle tile that
-    feeds the pair reductions and the gradient before the jump values sort
-    it.  Each chunk's gradient partial is folded into the totals in chunk
-    order as it comes back, never all of them held at once.
+    points from the chunk start lo on, or all of them for centers.  A tile
+    is one sq_dist call; its code-point rows from column lo on are the
+    upper-triangle tile, masked and (for the energy and the gradient)
+    checked for coincident pairs once, then read by every pair reduction
+    and the gradient before the jump values sort it.  Each chunk's gradient
+    partial is folded into the totals in chunk order as it comes back.
     """
     m, n = X.manifold, X.n
     rows = X.coords if extra is None else np.concatenate([X.coords, extra])
     cols = X.coords.T.copy().T[None]  # (1, N, d), each axis contiguous for sq_dist
-    pairs = s is not None or separation or distances
+    pairs = s is not None or separation or distances or gradient is not None
     if gradient is not None:
         totals = np.zeros((len(gradient[1]), m.ambient_dim, n))
 
@@ -231,20 +231,21 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
         # tile of the chunk
         buffers = None if gradient is None else [None] * len(gradient[1])
         for a, b in _tile_ranges(lo, hi, n - start):
-            if gradient is None:
-                Q = m.sq_dist(rows[a:b, None, :], cols[:, start:])
-            else:
-                Q, g = _tile_gradient(m, *gradient, a, lo, rows[a:b], cols[0, lo:].T, buffers)
-                grad_rows.append(g)
+            Q = m.sq_dist(rows[a:b, None, :], cols[:, start:])
             if pairs and a < n:  # rows from n on are extra centers
                 T = Q[:min(b, n) - a, lo - start:]  # T[i, j] is the pair (a + i, lo + j)
                 upper = ~np.tri(*T.shape, a - lo, dtype=bool)  # a + i < lo + j
+                if s is not None or gradient is not None:
+                    _check_distinct(a, lo, T, upper)
                 if s is not None:
-                    sums.append(_tile_row_sums(m, s, a, lo, T, upper))
+                    sums.append(_tile_row_sums(m, s, T, upper))
                 if separation:
                     mins.append(_tile_min(a, lo, T, upper))
                 if distances:
                     dists.append(m.dist_from_sq(T[upper]))
+                if gradient is not None:
+                    grad_rows.append(_tile_gradient(m, *gradient, rows[a:b], cols[0, lo:].T,
+                                                    T, upper, buffers))
             if extra is not None:
                 above, below = _jump_values(m, Q)
                 jumps.append(np.maximum(above.max(axis=1), below.max(axis=1)))
@@ -263,7 +264,7 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
         return reductions
 
     sums, mins, dists, jumps = zip(*map_ordered(
-        work, chunk_ranges(len(rows), CHUNK_ROWS), threads, fold))
+        work, chunk_ranges(len(rows), CHUNK_ROWS), fold))
     return _PassResult(
         # compensated within each chunk, then over the chunks: this fixes the bits
         None if s is None else 2.0 * compensated_sum(
@@ -278,7 +279,7 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
             for g in totals))
 
 
-def discrete_energy(X, s: float, threads=None) -> float:
+def discrete_energy(X, s: float) -> float:
     """Normalized Riesz s-energy of a point set: the kernel averaged over
     ordered distinct pairs with a 1/N^2 weight.
 
@@ -289,7 +290,7 @@ def discrete_energy(X, s: float, threads=None) -> float:
     check_exponent(s, X.manifold.dim)
     if X.n < 2:
         return 0.0
-    return _chunked_pass(X, s=s, threads=threads).energy
+    return _chunked_pass(X, s=s).energy
 
 
 def punctured_mean_potential(X, i: int, s: float) -> float:
@@ -402,8 +403,7 @@ def continuous_energy(m: Manifold, s: float, tol: float = DEFAULT_QUAD_TOL) -> f
     (InputError); raises DomainError for s outside (0, d).
     """
     check_exponent(s, m.dim)
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError(f"quad_tol must be finite and > 0, got {tol}")
+    _check_quad_tol(tol)
     if isinstance(m, Sphere):
         return _sphere_radial(m, s, math.pi, tol)
     if isinstance(m, FlatTorus):
@@ -426,8 +426,10 @@ def small_ball_energy(m: Manifold, s: float, r: float, tol: float = DEFAULT_QUAD
     """Integral of t^(-s) against the radial volume density over (0, r).
 
     Supported for radii below the injectivity radius (where the torus
-    density is exactly Euclidean)."""
+    density is exactly Euclidean).  tol is checked as by continuous_energy.
+    """
     check_exponent(s, m.dim)
+    _check_quad_tol(tol)
     if not (0.0 < r):
         raise InputError(f"radius must be positive, got {r}")
     if isinstance(m, Sphere):
@@ -449,12 +451,14 @@ def energy_gradient(X, s: float, cut_margin: float = 1e-12) -> np.ndarray:
     as an (N, ambient_dim) array of tangent components.
 
     Pairs at the cut locus (distance within cut_margin * injectivity
-    radius of the maximum reachable by the log map) contribute zero: the
-    kernel term attains its pairwise minimum there, so zero is a valid
-    subgradient choice.  Runs on RIESZ_THREADS threads with the bits of a
-    serial run.
+    radius of the maximum reachable by the log map, 0 <= cut_margin < 1)
+    contribute zero: the kernel term attains its pairwise minimum there,
+    so zero is a valid subgradient choice.  Runs on RIESZ_THREADS threads
+    with the bits of a serial run.
     """
     check_exponent(s, X.manifold.dim)
+    if not (0.0 <= cut_margin < 1.0):
+        raise InputError(f"cut_margin must satisfy 0 <= cut_margin < 1, got {cut_margin}")
     if X.n < 2:
         return np.zeros_like(X.coords)
     return _chunked_pass(X, gradient=(s, (cut_margin,))).gradients[0]
@@ -480,9 +484,9 @@ class EnergyReport:
         return asdict(self)
 
 
-def energy_report(X, s: float, tol: float = DEFAULT_QUAD_TOL, threads=None) -> EnergyReport:
+def energy_report(X, s: float, tol: float = DEFAULT_QUAD_TOL) -> EnergyReport:
     e_m = continuous_energy(X.manifold, s, tol)
-    e_x = discrete_energy(X, s, threads=threads)
+    e_x = discrete_energy(X, s)
     return EnergyReport(
         n=X.n,
         s=float(s),

@@ -147,7 +147,7 @@ def _safe_fit(xs, ys):
         return None
 
 
-def run_rate_experiment(cfg: RateExperimentConfig, threads=None) -> RateReport:
+def run_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
     """One sweep: for each N generate, measure, then fit the log-log rates
     and the bound constant c_hat = max gap / disc^exponent.
 
@@ -166,7 +166,7 @@ def run_rate_experiment(cfg: RateExperimentConfig, threads=None) -> RateReport:
         pool = int(cfg.generator_params.get("candidate_pool", 10 * n))
         X = generate_pointset(m, cfg.generator, int(n), row_seed, candidate_pool=pool)
         try:
-            disc, e_disc, sep = _tiled_pass(X, cfg.extra_centers, row_seed, threads, cfg.s)
+            disc, e_disc, sep = _tiled_pass(X, cfg.extra_centers, row_seed, cfg.s)
         except DomainError as exc:  # the energy meets a coincident pair first
             raise InputError(f"generator produced coincident points at N={n}") from exc
         rows.append(RateRow(

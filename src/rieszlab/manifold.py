@@ -186,10 +186,10 @@ class Manifold(ABC):
         """Normalized volume of a closed geodesic ball of radius r.
 
         Accepts a scalar or an array.  Exactly 1 for r >= diameter;
-        negative radii raise.
+        negative and NaN radii raise.
         """
         arr = np.asarray(r, dtype=float)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):
             raise InputError("ball radius must be >= 0")
         flat = np.atleast_1d(arr).ravel()
         out = np.ones_like(flat)
@@ -384,8 +384,9 @@ class FlatTorus(Manifold):
         return vec
 
     def _axis_delta(self, diff):
-        # signed nearest-image difference in [-1/2, 1/2]
-        return diff - np.round(diff)
+        # signed nearest-image difference in [-1/2, 1/2], in place on a fresh diff
+        diff -= np.round(diff)
+        return diff
 
     pairwise_block = Manifold.pairwise_block  # own entries, as on Sphere
     distances_from = Manifold.distances_from
@@ -509,7 +510,7 @@ def euclidean_ball_volume(d: int, r):
     if d < 1:
         raise InputError(f"dimension must be >= 1, got {d}")
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise InputError("ball radius must be >= 0")
     out = _unit_ball_volume(d) * (arr * arr) ** (d / 2.0)
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out

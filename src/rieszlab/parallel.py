@@ -13,34 +13,27 @@ from .errors import InputError
 THREADS_ENV = "RIESZ_THREADS"
 
 
-def resolve_threads(threads=None) -> int:
-    """Number of worker threads: explicit argument, else RIESZ_THREADS
-    (0 = auto), else 1."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "").strip()
-        if raw:
-            try:
-                threads = int(raw)
-            except ValueError as exc:
-                raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-        else:
-            threads = 1
+def resolve_threads() -> int:
+    """Number of worker threads: RIESZ_THREADS (0 = auto), else 1."""
+    raw = os.environ.get(THREADS_ENV, "").strip()
+    try:
+        threads = int(raw) if raw else 1
+    except ValueError as exc:
+        raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
     if threads < 0:
-        raise InputError("thread count must be >= 0")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return threads
+        raise InputError(f"{THREADS_ENV} must be >= 0, got {threads}")
+    return threads or os.cpu_count() or 1
 
 
-def map_ordered(fn, items, threads=None, fold=None):
-    """Apply fn to each item; results are returned in item order no
-    matter how many threads execute the work.
+def map_ordered(fn, items, fold=None):
+    """Apply fn to each item on RIESZ_THREADS threads; results are
+    returned in item order no matter how many threads execute the work.
 
     With fold, each result is passed to fold in item order as soon as it
     and every earlier one are done, and what fold returns takes its place,
     so large per-item results can be folded away instead of all held.
     """
-    threads = resolve_threads(threads)
+    threads = resolve_threads()
     items = list(items)
     fold = fold or (lambda result: result)
     if threads <= 1 or len(items) <= 1:

@@ -127,10 +127,12 @@ def test_equidistribution_trend():
     assert large.value < small.value
 
 
-def test_estimate_thread_determinism():
+def test_estimate_thread_determinism(monkeypatch):
     X = sample_uniform(flat_torus(2), 3, 200)
-    results = [estimate_discrepancy(X, extra_centers=100, seed=2, threads=t)
-               for t in (1, 2, 8)]
+    results = []
+    for t in ("1", "2", "8"):
+        monkeypatch.setenv("RIESZ_THREADS", t)
+        results.append(estimate_discrepancy(X, extra_centers=100, seed=2))
     assert len({r.value for r in results}) == 1
     assert len({r.center_index for r in results}) == 1
     assert len({r.radius for r in results}) == 1

@@ -12,7 +12,7 @@ from rieszlab import (DomainError, InputError, PointSet, continuous_energy,
                       minimize_riesz_energy, punctured_mean_potential,
                       riesz_kernel, sample_uniform, sphere)
 from rieszlab import energy
-from rieszlab.energy import pairwise_distances
+from rieszlab.energy import pairwise_distances, small_ball_energy
 from rieszlab.rng import stream
 from cli_env import cli_env
 from oracles import dense_riesz_gradient
@@ -83,13 +83,16 @@ def test_matches_naive_double_loop(maker, s):
         assert abs(fast - ref) <= 1e-13 * abs(ref)
 
 
-def test_thread_count_bit_identical():
+def test_thread_count_bit_identical(monkeypatch):
     X = sample_uniform(sphere(2), 42, 700)  # spans several 256-row chunks
-    vals = {discrete_energy(X, 1.0, threads=t) for t in (1, 2, 8)}
-    assert len(vals) == 1
     Y = sample_uniform(flat_torus(2), 43, 700)
-    vals = {discrete_energy(Y, 1.0, threads=t) for t in (1, 2, 8)}
-    assert len(vals) == 1
+    vals_x, vals_y = set(), set()
+    for t in ("1", "2", "8"):
+        monkeypatch.setenv("RIESZ_THREADS", t)
+        vals_x.add(discrete_energy(X, 1.0))
+        vals_y.add(discrete_energy(Y, 1.0))
+    assert len(vals_x) == 1
+    assert len(vals_y) == 1
 
 
 def test_coincident_points_error_names_indices():
@@ -190,6 +193,15 @@ def test_quadrature_tolerance_convergence():
         a = continuous_energy(m, s, tol)
         b = continuous_energy(m, s, tol / 100)
         assert abs(a - b) <= 10 * tol
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_out_of_range_tol_rejected(tol):
+    for run in (lambda: continuous_energy(sphere(2), 1.0, tol),
+                lambda: small_ball_energy(sphere(2), 1.0, 0.1, tol),
+                lambda: small_ball_energy(flat_torus(2), 1.0, 0.1, tol)):
+        with pytest.raises(InputError, match="quad_tol must be finite and > 0"):
+            run()
 
 
 def test_divergent_exponent_rejected():
@@ -377,6 +389,15 @@ def test_shared_gradient_pass_drops_rounded_antipodes(name):
     Y = minimize_riesz_energy(X, 0.5, max_iters=2)
     assert np.all(np.isfinite(Y.coords))
     assert Y.provenance["energy_trace"][-1] < Y.provenance["energy_trace"][0]
+
+
+@pytest.mark.parametrize("margin", [math.nan, -0.5, 1.0, 2.0])
+def test_gradient_rejects_cut_margin_outside_unit_interval(margin):
+    # -0.5 used to give NaN rows for an antipodal pair, the others all zeros
+    X = PointSet(sphere(1), [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(InputError, match="cut_margin"):
+        energy_gradient(X, 0.5, cut_margin=margin)
+    assert np.all(np.isfinite(energy_gradient(X, 0.5, cut_margin=0.0)))
 
 
 def test_energy_report_fields():

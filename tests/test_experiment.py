@@ -80,9 +80,11 @@ def test_sweep_deterministic():
     assert a == b
 
 
-def test_sweep_thread_count_invariant():
-    a = run_rate_experiment(small_config(), threads=1).to_dict()
-    b = run_rate_experiment(small_config(), threads=4).to_dict()
+def test_sweep_thread_count_invariant(monkeypatch):
+    monkeypatch.setenv("RIESZ_THREADS", "1")
+    a = run_rate_experiment(small_config()).to_dict()
+    monkeypatch.setenv("RIESZ_THREADS", "4")
+    b = run_rate_experiment(small_config()).to_dict()
     assert a == b
 
 

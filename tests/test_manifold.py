@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import (DomainError, InputError, PointSet, ball_volume,
+from rieszlab import (DomainError, InputError, PointSet, ball_count, ball_volume,
                       discrete_energy, euclidean_ball_volume, exp_map,
                       flat_torus, geodesic_distance, log_map, make_manifold,
-                      sample_uniform, sphere)
+                      riesz_kernel, sample_uniform, sphere)
 from rieszlab.energy import pairwise_distances
 from rieszlab.rng import stream
 from oracles import grid_torus_ball_volume, torus_ball_volume_mp
@@ -230,6 +230,24 @@ def test_sphere3_zonal_quadrature_matches_reference():
 def test_negative_radius_rejected():
     with pytest.raises(InputError):
         ball_volume(sphere(2), -0.1)
+
+
+@pytest.mark.parametrize("error,run", [
+    pytest.param(InputError, lambda: sphere(2).ball_volume(math.nan), id="ball_volume"),
+    pytest.param(InputError, lambda: flat_torus(2).ball_volume(np.array([0.1, math.nan])),
+                 id="ball_volume-array"),
+    pytest.param(InputError, lambda: ball_count(sample_uniform(flat_torus(2), 1, 10),
+                                                flat_torus(2).origin(), math.nan), id="ball_count"),
+    pytest.param(InputError, lambda: euclidean_ball_volume(2, math.nan),
+                 id="euclidean_ball_volume"),
+    pytest.param(DomainError, lambda: riesz_kernel(1.0, math.nan), id="riesz_kernel"),
+    pytest.param(DomainError, lambda: riesz_kernel(math.nan, 1.0), id="riesz_kernel-distance"),
+])
+def test_nan_fails_range_checks(error, run):
+    # checks written as x < 0 let NaN through: ball_volume gave 1.0,
+    # ball_count 0, euclidean_ball_volume nan, riesz_kernel 1.0 and nan
+    with pytest.raises(error):
+        run()
 
 
 def test_euclidean_ball_volumes():

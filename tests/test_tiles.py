@@ -30,22 +30,21 @@ def _results(monkeypatch, X, threads):
     sep = min_geodesic_distance(X)
     grad = energy_gradient(X, 1.0)
     with monkeypatch.context() as env:
-        # brute separation and the gradient take their thread count from
-        # RIESZ_THREADS
         env.setenv("RIESZ_THREADS", "2")
         sep2 = min_geodesic_distance(X)
         assert _bytes(energy_gradient(X, 1.0)) == _bytes(grad)
     assert (_bytes(sep2.min_distance), sep2.pair) == (_bytes(sep.min_distance), sep.pair)
+    monkeypatch.setenv("RIESZ_THREADS", str(threads))
     out = {
-        "energy": _bytes(discrete_energy(X, 1.0, threads=threads)),
+        "energy": _bytes(discrete_energy(X, 1.0)),
         "separation": (_bytes(sep.min_distance), sep.pair),
         "pairwise": _bytes(pairwise_distances(X)),
         "gradient": _bytes(grad),
     }
     # 37 extra centers: for N = 517 the last chunk and a tile cross N
-    est = estimate_discrepancy(X, extra_centers=37, seed=4, threads=threads)
+    est = estimate_discrepancy(X, extra_centers=37, seed=4)
     out["discrepancy"] = (_bytes(est.value, est.radius), est.center_index, est.side)
-    est_row, e_row, sep_row = _tiled_pass(X, 37, 4, threads, 1.0)
+    est_row, e_row, sep_row = _tiled_pass(X, 37, 4, 1.0)
     out["sweep_row"] = {
         "energy": _bytes(e_row),
         "separation": (_bytes(sep_row.min_distance, sep_row.gamma_hat), sep_row.pair),
@@ -79,8 +78,11 @@ def test_coincident_pair_named_for_any_tile_size(monkeypatch):
     Y = PointSet(flat_torus(2), coords)
     for tile in (1, 7, energy.TILE_ELEMS):
         monkeypatch.setattr(energy, "TILE_ELEMS", tile)
-        with pytest.raises(DomainError, match="indices 270 and 290"):
-            discrete_energy(Y, 1.0)
+        # the energy, the gradient and the sweep row share one check per tile
+        for run in (lambda: discrete_energy(Y, 1.0), lambda: energy_gradient(Y, 1.0),
+                    lambda: _tiled_pass(Y, 0, 0, 1.0)):
+            with pytest.raises(DomainError, match="indices 270 and 290"):
+                run()
         assert min_geodesic_distance(Y).pair == (270, 290)
 
 
@@ -103,7 +105,7 @@ def test_pass_memory_flat_in_n(make, n, only):
         "energy": lambda: discrete_energy(X, 1.0),
         "separation": lambda: min_geodesic_distance(X),
         "discrepancy": lambda: estimate_discrepancy(X, extra_centers=0),
-        "sweep_row": lambda: _tiled_pass(X, 0, 0, None, 1.0),
+        "sweep_row": lambda: _tiled_pass(X, 0, 0, 1.0),
         "gradient": lambda: energy_gradient(X, 1.0),
         # the descent's pass: both candidates' gradients at once
         "gradient_pair": lambda: energy._chunked_pass(X, gradient=(1.0, (1e-12, 1e-2))),
@@ -146,6 +148,7 @@ def test_shared_gradient_pass_equals_one_margin_calls(monkeypatch, name):
     assert singles[0] != singles[1]
     for tile in (energy.TILE_ELEMS, 1):
         monkeypatch.setattr(energy, "TILE_ELEMS", tile)
-        for threads in (1, 2):
-            shared = energy._chunked_pass(X, gradient=(0.5, margins), threads=threads).gradients
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RIESZ_THREADS", threads)
+            shared = energy._chunked_pass(X, gradient=(0.5, margins)).gradients
             assert [_bytes(g) for g in shared] == singles
