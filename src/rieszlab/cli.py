@@ -256,15 +256,16 @@ def parse_rate_config(text: str) -> RateExperimentConfig:
     params = {}
     if "candidate_pool" in values:
         params["candidate_pool"] = _number("candidate_pool", values["candidate_pool"], int)
+    # keys the file leaves out keep the dataclass defaults
+    optional = {key: _number(key, values[key], kind) for key, kind in
+                (("extra_centers", int), ("seed", int), ("quad_tol", float)) if key in values}
     return RateExperimentConfig(
         manifold=m,
         s=_number("s", values["s"], float),
         generator=values["generator"],
         ns=ns,
-        extra_centers=_number("extra_centers", values.get("extra_centers", "0"), int),
-        seed=_number("seed", values.get("seed", "0"), int),
-        quad_tol=_number("quad_tol", values.get("quad_tol", "1e-10"), float),
         generator_params=params,
+        **optional,
     )
 
 

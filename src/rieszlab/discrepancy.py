@@ -22,7 +22,7 @@ import numpy as np
 
 from .energy import _chunked_pass, _jump_values
 from .errors import InputError
-from .manifold import Point
+from .manifold import Point, _as_vector
 from .pointsets import _separation_report
 from .rng import stream
 
@@ -51,7 +51,8 @@ def ball_count(X, y: Point, r: float) -> int:
     """Number of code points inside the closed ball B(y, r)."""
     if not (r >= 0):
         raise InputError("ball radius must be >= 0")
-    d = X.manifold.distances_from(np.asarray(y.coords, dtype=float), X.coords)
+    center = _as_vector(y.coords, X.manifold.ambient_dim, "center")
+    d = X.manifold.distances_from(center, X.coords)
     return int(np.count_nonzero(d <= r))
 
 
@@ -63,7 +64,7 @@ def center_discrepancy(X, y: Point):
     with the ball closed at the radius, 'below' in the limit from below.
     Ties prefer the smaller radius, then the 'above' side.
     """
-    center = np.asarray(y.coords, dtype=float)[None, None, :]
+    center = _as_vector(y.coords, X.manifold.ambient_dim, "center")[None, None, :]
     Q = X.manifold.sq_dist(center, X.coords[None, :, :])
     above, below = _jump_values(X.manifold, Q)
     vals = np.concatenate([above[0], below[0]])

@@ -7,7 +7,8 @@ The energy, the brute-force separation, the pairwise distances, the
 discrepancy jump values and the gradient all come from _chunked_pass, the
 one chunked, tiled pass over the squared distances (sq_dist).  It walks
 its rows in chunks of CHUNK_ROWS consecutive points; the chunk is the unit
-of thread work and of compensated summation, so CHUNK_ROWS fixes the bits.
+of thread work and of the first math.fsum level (the energy sums each
+chunk's row sums, then the chunk sums), so CHUNK_ROWS fixes the bits.
 Pair reductions, the gradient included, visit each unordered pair once: a
 chunk's rows against those rows and every later point.  The gradient adds
 a pair's term to the row sum of its first point and, negated, to the
@@ -17,13 +18,16 @@ the chunk comes back.  Each chunk is computed in tiles of whole rows
 holding about TILE_ELEMS entries, so TILE_ELEMS fixes the memory: a pass
 uses O(TILE_ELEMS + N) of it.  Each tile's squared distances, its upper
 triangle and its coincident-pair check are computed once and read by
-every reduction asked for.  Both sizes depend on N only, never on the
-thread count (RIESZ_THREADS), and the kernel makes no BLAS call, so
-results agree bit for bit for any number of threads.
+every reduction asked for; a gradient pass keeps the tile's axis deltas
+(Manifold._axis_deltas) that Q is summed from, and the gradient reads
+them.  Both sizes depend on N only, never on the thread count
+(RIESZ_THREADS), and the kernel makes no BLAS call, so results agree bit
+for bit for any number of threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
@@ -70,18 +74,6 @@ def riesz_kernel(r, s: float):
     return float(out) if arr.ndim == 0 else out
 
 
-def compensated_sum(values) -> float:
-    """Kahan summation in index order."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        y = float(v) - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
 def _tile_ranges(lo, hi, columns):
     """[start, stop) row ranges over lo..hi-1 with about TILE_ELEMS entries
     of the given row length each (at least one row)."""
@@ -115,30 +107,30 @@ def _tile_min(a, lo, Q, upper):
     return masked[i, j], (a + int(i), lo + int(j))
 
 
-def _tile_gradient(m, s, margins, x, y, Q, upper, buffers):
+def _tile_gradient(m, s, margins, x, y, deltas, Q, upper, buffers):
     """Unscaled gradient terms of the upper-triangle tile (Q, upper) of the
     points x against the (ambient_dim, N - lo) columns y, the points from
-    the chunk start lo on; its pairs are distinct.
+    the chunk start lo on; its pairs are distinct.  deltas are the tile's
+    axis deltas y - x from Manifold._axis_deltas, one (rows, N - lo) array
+    per axis: the ones Q was summed from, so the gradient forms none.
 
-    Returns per cut margin the tile's (ambient_dim, rows) row sums.
-    buffers holds per margin an (ambient_dim, rows + 1, N - lo) array whose
-    row 0 is the chunk's column sums so far; the tile's terms go into the
-    rows after it and are added to row 0 in row order.  A chunk's first
-    tile, which has the most rows, allocates them, and every later tile of
-    the chunk reuses them: allocating them per tile let malloc return the
-    tile's memory to the OS and fault it in again, about 30 times as many
-    page faults and twice the time of an S^2 pass at N = 4096.
+    Returns the tile's (margins, ambient_dim, rows) row sums.  buffers is
+    the chunk's (margins, ambient_dim, rows + 1, N - lo) array, allocated
+    by _chunked_pass for the chunk's first tile, which has the most rows,
+    and reused by every later tile of the chunk: allocating it per tile let
+    malloc return the tile's memory to the OS and fault it in again, about
+    30 times as many page faults and twice the time of an S^2 pass at
+    N = 4096.  Its row 0 is the chunk's column sums so far; the tile's
+    terms go into the rows after it and are added to row 0 in row order.
 
     Each pair i < j is computed once.  It counts for a margin unless its
     distance (on the torus, any axis delta) lies within the margin of the
-    cut locus.  Its deltas, distance and weight w are computed once; each
-    margin then masks w.  Q and w are symmetric in the pair and the deltas
+    cut locus.  Its distance and weight w are computed once; each margin
+    then masks w.  Q and w are symmetric in the pair and the deltas
     antisymmetric, so the term w * delta of row i is, negated, the term of
     row j: the row sums take it with a plus sign, the column sums with a
     minus sign once the chunk is done.
     """
-    # deltas[k, i, j] is axis k of y - x for x = row i, y = column j
-    deltas = m._axis_delta(y[:, None, :] - x.T[:, :, None])
     # log_x(y) has length dist along u, the tangent part of y - x; the
     # sphere's final projection removes the x-part of y - x
     with np.errstate(divide="ignore", invalid="ignore"):  # off live pairs
@@ -150,23 +142,21 @@ def _tile_gradient(m, s, margins, x, y, Q, upper, buffers):
             reach = dist = 2.0 * np.arctan(np.sqrt(Q / plus))
             u_norm = np.sqrt(Q * plus) / 2.0
         else:
-            reach = np.abs(deltas).max(axis=0)
+            reach = functools.reduce(np.maximum, [np.abs(dk) for dk in deltas])
             dist = u_norm = m.dist_from_sq(Q)
         cuts = [m.injectivity_radius * (1.0 - c) for c in margins]
         # the smallest margin cuts furthest out: its pairs count for any margin
         live = upper & (reach < max(cuts))
         w = np.where(live, dist ** (-s - 1.0) / u_norm, 0.0)
-    rows = []
+    terms = buffers[:, :, :len(Q) + 1]
     for k, cut in enumerate(cuts):
-        if buffers[k] is None:
-            buffers[k] = np.zeros((len(deltas), len(Q) + 1, Q.shape[1]))
-        terms = buffers[k][:, :len(Q) + 1]
-        np.multiply(w if cut == max(cuts) else np.where(reach < cut, w, 0.0),
-                    deltas, out=terms[:, 1:])
-        rows.append(terms[:, 1:].sum(axis=2))
-        # numpy adds the rows of each axis in order, so the column sums do
-        # not depend on the tile size
-        terms[:, 0] = terms.sum(axis=1)
+        wk = w if cut == max(cuts) else np.where(reach < cut, w, 0.0)
+        for axis, dk in enumerate(deltas):
+            np.multiply(wk, dk, out=terms[k, axis, 1:])
+    rows = terms[:, :, 1:].sum(axis=3)
+    # numpy adds the rows of each axis in order, so the column sums do not
+    # depend on the tile size
+    terms[:, :, 0] = terms.sum(axis=2)
     return rows
 
 
@@ -208,7 +198,7 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
     The rows (code points, then extra centers) are walked in chunks of
     CHUNK_ROWS, each in tiles of whole rows.  A tile's columns are the code
     points from the chunk start lo on, or all of them for centers.  A tile
-    is one sq_dist call; its code-point rows from column lo on are the
+    is one sq_dist block; its code-point rows from column lo on are the
     upper-triangle tile, masked and (for the energy and the gradient)
     checked for coincident pairs once, then read by every pair reduction
     and the gradient before the jump values sort it.  Each chunk's gradient
@@ -216,7 +206,7 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
     """
     m, n = X.manifold, X.n
     rows = X.coords if extra is None else np.concatenate([X.coords, extra])
-    cols = X.coords.T.copy().T[None]  # (1, N, d), each axis contiguous for sq_dist
+    cols = X.coords.T.copy().T[None]  # (1, N, d), each axis contiguous for the deltas
     pairs = s is not None or separation or distances or gradient is not None
     if gradient is not None:
         totals = np.zeros((len(gradient[1]), m.ambient_dim, n))
@@ -227,11 +217,15 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
         lo, hi = chunk
         start = lo if extra is None else 0
         sums, mins, dists, jumps, grad_rows = [], [], [], [], []
-        # per margin the column sums and the tile's terms, reused by every
-        # tile of the chunk
-        buffers = None if gradient is None else [None] * len(gradient[1])
-        for a, b in _tile_ranges(lo, hi, n - start):
-            Q = m.sq_dist(rows[a:b, None, :], cols[:, start:])
+        tiles = _tile_ranges(lo, hi, n - start)
+        if gradient is not None:
+            # per margin the column sums and a tile's terms, sized by the first tile
+            buffers = np.zeros((len(gradient[1]), m.ambient_dim, tiles[0][1] - lo + 1, n - lo))
+        for a, b in tiles:
+            deltas = m._axis_deltas(rows[a:b, None, :], cols[:, start:])
+            if gradient is not None:
+                deltas = list(deltas)  # the gradient reads them too; other passes stream them
+            Q = sum_of_squares(deltas)  # the bits of m.sq_dist on the same tile
             if pairs and a < n:  # rows from n on are extra centers
                 T = Q[:min(b, n) - a, lo - start:]  # T[i, j] is the pair (a + i, lo + j)
                 upper = ~np.tri(*T.shape, a - lo, dtype=bool)  # a + i < lo + j
@@ -245,16 +239,15 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
                     dists.append(m.dist_from_sq(T[upper]))
                 if gradient is not None:
                     grad_rows.append(_tile_gradient(m, *gradient, rows[a:b], cols[0, lo:].T,
-                                                    T, upper, buffers))
+                                                    deltas, T, upper, buffers))
             if extra is not None:
                 above, below = _jump_values(m, Q)
                 jumps.append(np.maximum(above.max(axis=1), below.max(axis=1)))
         partial = None
         if gradient is not None:
             # per margin, row sums minus column sums over points lo..N-1
-            partial = -np.stack([buf[:, 0] for buf in buffers])
-            partial[:, :, :hi - lo] += np.concatenate(
-                [np.stack(g) for g in grad_rows], axis=2)
+            partial = -buffers[:, :, 0]
+            partial[:, :, :hi - lo] += np.concatenate(grad_rows, axis=2)
         return lo, partial, (sums, mins, dists, jumps)
 
     def fold(out):
@@ -266,9 +259,9 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
     sums, mins, dists, jumps = zip(*map_ordered(
         work, chunk_ranges(len(rows), CHUNK_ROWS), fold))
     return _PassResult(
-        # compensated within each chunk, then over the chunks: this fixes the bits
-        None if s is None else 2.0 * compensated_sum(
-            compensated_sum(np.concatenate(c)) for c in sums if c) / (n * n),
+        # correctly rounded within each chunk, then over the chunks: this fixes the bits
+        None if s is None else 2.0 * math.fsum(
+            math.fsum(np.concatenate(c)) for c in sums if c) / (n * n),
         # min keeps the first of equal q: over tiles in row order, the first pair
         min((t for c in mins for t in c), key=lambda t: t[0]) if separation else None,
         np.concatenate([t for c in dists for t in c]) if distances else None,
@@ -327,7 +320,7 @@ def energy_via_distance_cdf(X, s: float) -> float:
     if np.any(dists <= 0.0):
         raise DomainError("coincident points in the set")
     radii, counts = np.unique(dists, return_counts=True)
-    return 2.0 * compensated_sum(radii ** (-s) * counts) / (n * n)
+    return 2.0 * math.fsum(radii ** (-s) * counts) / (n * n)
 
 
 def pairwise_distances(X) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .discrepancy import _tiled_pass
-from .energy import check_exponent, continuous_energy
+from .energy import DEFAULT_QUAD_TOL, check_exponent, continuous_energy
 from .errors import DomainError, InputError
 from .manifold import Manifold
 from .pointsets import generate_pointset
@@ -46,7 +46,7 @@ class RateExperimentConfig:
     ns: list                           # strictly increasing schedule
     extra_centers: int = 0
     seed: int = 0
-    quad_tol: float = 1e-10
+    quad_tol: float = DEFAULT_QUAD_TOL
     generator_params: dict = field(default_factory=dict)
 
     def validate(self):

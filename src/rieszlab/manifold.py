@@ -205,12 +205,17 @@ class Manifold(ABC):
         """Axis-k difference b_k - a_k as sq_dist sees it (the torus wraps it)."""
         return diff
 
+    def _axis_deltas(self, a, b):
+        """Axis deltas b_k - a_k of a and b, which broadcast over their
+        leading axes, one array per axis in axis order: the only code that
+        subtracts one point's coordinates from another's."""
+        a, b = np.asarray(a), np.asarray(b)
+        return (self._axis_delta(b[..., k] - a[..., k]) for k in range(self.ambient_dim))
+
     def sq_dist(self, a, b):
         """Squared-distance kernel between a and b, which broadcast over
         their leading axes: the squared axis deltas, added in axis order."""
-        a, b = np.asarray(a), np.asarray(b)
-        return sum_of_squares(self._axis_delta(b[..., k] - a[..., k])
-                              for k in range(self.ambient_dim))
+        return sum_of_squares(self._axis_deltas(a, b))
 
     @abstractmethod
     def dist_from_sq(self, q):
@@ -330,8 +335,9 @@ class Sphere(Manifold):
 
     def _log_array(self, x, ys):
         # u = ys - <x, ys> x, where <x, ys> = 1 - q/2
-        q = self.sq_dist(x, ys)
-        u = (ys - x) + (q / 2.0)[:, None] * x
+        deltas = list(self._axis_deltas(x, ys))
+        q = sum_of_squares(deltas)
+        u = np.stack(deltas, axis=-1) + (q / 2.0)[:, None] * x
         norms = np.linalg.norm(u, axis=1)
         safe = np.where(norms > 0.0, norms, 1.0)
         return self.dist_from_sq(q)[:, None] * u / safe[:, None]
@@ -411,7 +417,7 @@ class FlatTorus(Manifold):
         return self._normalize(base + vec)
 
     def _log_array(self, x, ys):
-        return self._axis_delta(ys - x)
+        return np.stack(list(self._axis_deltas(x, ys)), axis=-1)
 
     def _sample(self, rng, n):
         return rng.random((n, self.dim))

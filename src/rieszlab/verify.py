@@ -116,7 +116,7 @@ def check_ball_volume_flatness(m: Manifold, radii=None) -> BoundCheckReport:
     if radii is None:
         radii = geometric_grid(r0 * 1e-4, r0 * 0.5, 64)
     radii = np.sort(np.asarray(radii, dtype=float))
-    if np.any(radii <= 0.0) or np.any(radii >= r0):
+    if not np.all((radii > 0.0) & (radii < r0)):
         raise InputError("flatness grid must lie inside (0, injectivity radius)")
     if isinstance(m, FlatTorus):
         defect = np.zeros_like(radii)  # exactly Euclidean below r = 1/2
@@ -156,7 +156,7 @@ def check_small_ball_bounds(m: Manifold, r_max: float, radii=None) -> BoundCheck
     if radii is None:
         radii = geometric_grid(r_max * 1e-3, r_max, 64)
     radii = np.sort(np.asarray(radii, dtype=float))
-    if np.any(radii <= 0.0) or np.any(radii > r_max):
+    if not np.all((radii > 0.0) & (radii <= r_max)):
         raise InputError("grid must lie inside (0, r_max]")
     ratios = _vol_over_rd(m, radii)
     c_low, c_high = float(ratios.min()), float(ratios.max())
@@ -187,7 +187,7 @@ def check_large_ball_bounds(m: Manifold, radii=None) -> BoundCheckReport:
     if radii is None:
         radii = geometric_grid(m.diameter * 1e-3, m.diameter, 64)
     radii = np.sort(np.asarray(radii, dtype=float))
-    if np.any(radii <= 0.0) or np.any(radii > m.diameter):
+    if not np.all((radii > 0.0) & (radii <= m.diameter)):
         raise InputError("grid must lie inside (0, diameter]")
     ratios = _vol_over_rd(m, radii)
     c_bot, c_top = float(ratios.min()), float(ratios.max())
@@ -216,6 +216,8 @@ def packing_number(m: Manifold, x: Point, r: float, q: float, pool_seed: int,
     """
     if not (0.0 < q < r):
         raise InputError(f"need 0 < q < r, got q={q}, r={r}")
+    if not pool_size >= 1:
+        raise InputError(f"pool_size must be >= 1, got {pool_size}")
     if r > m.diameter:
         raise InputError(f"r={r} exceeds the diameter {m.diameter:.6g}")
     rng = stream(pool_seed, "packing-pool")
@@ -293,7 +295,7 @@ def check_small_ball_energy(m: Manifold, s: float, radii=None,
     if radii is None:
         radii = geometric_grid(r_max * 1e-3, r_max, 32)
     radii = np.sort(np.asarray(radii, dtype=float))
-    if np.any(radii <= 0.0) or np.any(radii > r_max):
+    if not np.all((radii > 0.0) & (radii <= r_max)):
         raise InputError("grid must lie inside (0, r_max]")
     d = m.dim
     small = check_small_ball_bounds(m, r_max, radii)

@@ -9,7 +9,9 @@ import pytest
 from rieszlab import PointSet, fibonacci_sphere, flat_torus, sphere
 from rieszlab.cli import (cli_dispatch, format_pointset, load_pointset,
                           parse_pointset, parse_rate_config, save_pointset)
+from rieszlab.energy import DEFAULT_QUAD_TOL
 from rieszlab.errors import InputError
+from rieszlab.experiment import RateExperimentConfig
 
 from cli_env import cli_env
 
@@ -158,6 +160,17 @@ def test_rate_config_parsing_errors(tmp_path):
     cfg = parse_rate_config("manifold=torus\ndim=1\ns=0.5\ngenerator=kronecker\n"
                             "n_min=32\nn_max=128\n# comment\n")
     assert cfg.ns == [32, 64, 128]
+
+
+def test_rate_config_omitted_keys_take_dataclass_defaults():
+    cfg = parse_rate_config("manifold=torus\ndim=2\ns=1.0\ngenerator=kronecker\nns=16,32\n")
+    assert cfg == RateExperimentConfig(manifold=flat_torus(2), s=1.0, generator="kronecker",
+                                       ns=[16, 32])
+    assert cfg.quad_tol == DEFAULT_QUAD_TOL
+    assert (cfg.extra_centers, cfg.seed) == (0, 0)
+    cfg = parse_rate_config("manifold=torus\ndim=2\ns=1.0\ngenerator=kronecker\nns=16,32\n"
+                            "extra_centers=3\nseed=5\nquad_tol=1e-9\n")
+    assert (cfg.extra_centers, cfg.seed, cfg.quad_tol) == (3, 5, 1e-9)
 
 
 RATE_BASE = {"manifold": "torus", "dim": "1", "s": "0.5", "generator": "kronecker",

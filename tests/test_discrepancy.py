@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import (PointSet, ball_count, center_discrepancy,
+from rieszlab import (InputError, Point, PointSet, ball_count, center_discrepancy,
                       estimate_discrepancy, fibonacci_sphere, flat_torus,
                       kronecker_torus, sample_uniform, sphere)
 from rieszlab.rng import stream
@@ -22,6 +22,26 @@ def circle_points(n):
 def test_ball_count_whole_manifold():
     X = sample_uniform(sphere(2), 0, 37)
     assert ball_count(X, X.manifold.origin(), X.manifold.diameter) == 37
+
+
+def test_center_of_wrong_length_rejected():
+    # a T^2 point against an S^2 set: the center needs 3 coordinates
+    X = fibonacci_sphere(50)
+    center = flat_torus(2).point([0.25, 0.5])
+    with pytest.raises(InputError, match=r"center must have shape \(3,\)"):
+        ball_count(X, center, 0.5)
+    with pytest.raises(InputError, match=r"center must have shape \(3,\)"):
+        center_discrepancy(X, center)
+
+
+def test_center_coordinates_used_as_given():
+    # the shape check does not renormalize: the radius of a center off the
+    # sphere by 1e-9 is a distance from its raw coordinates
+    X = fibonacci_sphere(50)
+    raw = np.array([0.6, 0.8, 0.0]) * (1.0 + 1e-9)
+    value, radius, side = center_discrepancy(X, Point(raw))
+    Q = X.manifold.sq_dist(raw[None, None, :], X.coords[None, :, :])
+    assert radius in X.manifold.dist_from_sq(Q[0])
 
 
 def test_ball_count_zero_radius_missing_center():

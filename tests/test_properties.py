@@ -1,6 +1,7 @@
 """Property tests of the T^3 ball volume, the one torus volume that needs a
-quadrature (the edge overlaps beyond r = sqrt(2)/2), and of the energy
-gradient under a permutation of the points."""
+quadrature (the edge overlaps beyond r = sqrt(2)/2), of the energy
+gradient under a permutation of the points, and of the symmetry of the
+axis deltas and the squared distances."""
 
 import numpy as np
 import pytest
@@ -53,6 +54,42 @@ def test_torus3_volume_from_sq_is_ball_volume_of_distance(x, y):
     # the distance is sqrt(q), and squaring it back may move q by an ulp,
     # which moves c_3 q^(3/2) by about 1.5 ulps
     assert T3.volume_from_sq(q) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+MANIFOLDS = {f"{name}{d}": make(d) for name, make in (("S", sphere), ("T", flat_torus))
+             for d in (1, 2, 3)}
+unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@st.composite
+def point_pairs(draw):
+    """A manifold and two (n, ambient_dim) point arrays on it."""
+    name = draw(st.sampled_from(sorted(MANIFOLDS)))
+    m = MANIFOLDS[name]
+    n = draw(st.integers(min_value=1, max_value=6))
+    if name.startswith("T"):
+        size = 2 * n * m.ambient_dim
+        x, y = np.array(draw(st.lists(unit, min_size=size, max_size=size))).reshape(2, n, -1)
+        return m, x, y
+    # uniform directions: normalized rows of a seeded standard normal draw
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x, y = rng.standard_normal((2, n, m.ambient_dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    return m, x, y
+
+
+@PROPERTY
+@given(point_pairs())
+@example((flat_torus(2), np.array([[0.0, 0.25]]), np.array([[0.5, 0.75]])))
+@example((flat_torus(1), np.array([[0.2]]), np.array([[0.7]])))
+def test_sq_dist_symmetric_and_axis_deltas_antisymmetric(case):
+    # packing_number relies on the first, the gradient's column sums on the
+    # second; the wrap keeps both at half a period
+    m, x, y = case
+    assert m.sq_dist(x, y).tobytes() == m.sq_dist(y, x).tobytes()
+    for forward, backward in zip(m._axis_deltas(x, y), m._axis_deltas(y, x)):
+        assert np.array_equal(-forward, backward)
 
 
 # more than one 256-row chunk, so a permutation moves pairs between chunks,

@@ -13,6 +13,7 @@ from rieszlab import (DomainError, PointSet, discrete_energy, energy_gradient,
 from rieszlab import energy
 from rieszlab.discrepancy import _tiled_pass
 from rieszlab.energy import pairwise_distances
+from rieszlab.parallel import chunk_ranges
 
 SETS = {
     "S2": lambda n: sample_uniform(sphere(2), 31, n),
@@ -137,6 +138,27 @@ def _cut_band_sets():
         c[1::2] = c[0::2] + 0.5 - 1e-3 * (1.0 + np.arange(150)[:, None] / 1000)
         out[f"T{d}"] = PointSet(flat_torus(d), c)
     return out
+
+
+@pytest.mark.parametrize("m", [sphere(2), flat_torus(2)], ids=["S2", "T2"])
+def test_gradient_pass_forms_each_tile_deltas_once(monkeypatch, m):
+    # the gradient reads the axis deltas its squared distances were summed
+    # from: one 2-D delta per axis and tile, none of its own
+    X = sample_uniform(m, 34, 600)
+    shapes = []
+    axis_delta = type(m)._axis_delta
+
+    def counting(self, diff):
+        shapes.append(diff.shape)
+        return axis_delta(self, diff)
+
+    monkeypatch.setattr(type(m), "_axis_delta", counting)
+    monkeypatch.setenv("RIESZ_THREADS", "1")
+    energy_gradient(X, 1.0)
+    tiles = sum(len(energy._tile_ranges(lo, hi, X.n - lo))
+                for lo, hi in chunk_ranges(X.n, energy.CHUNK_ROWS))
+    assert len(shapes) == tiles * m.ambient_dim
+    assert all(len(shape) == 2 for shape in shapes)
 
 
 @pytest.mark.parametrize("name", ["S1", "S2", "T1", "T2"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,18 @@ def test_flatness_grid_validation():
         check_ball_volume_flatness(flat_torus(2), np.array([0.2, 0.6]))
 
 
+@pytest.mark.parametrize("check,message", [
+    (lambda m, radii: check_ball_volume_flatness(m, radii), "flatness grid must lie inside"),
+    (lambda m, radii: check_small_ball_bounds(m, 0.5, radii), "grid must lie inside (0, r_max]"),
+    (lambda m, radii: check_large_ball_bounds(m, radii), "grid must lie inside (0, diameter]"),
+    (lambda m, radii: check_small_ball_energy(m, 1.0, radii, r_max=0.5),
+     "grid must lie inside (0, r_max]"),
+], ids=["flatness", "small-ball", "large-ball", "small-ball-energy"])
+def test_nan_radius_fails_grid_check(check, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        check(sphere(2), [0.1, math.nan, 0.2])
+
+
 # ----------------------------------------------------------------------
 # small/large ball bounds
 # ----------------------------------------------------------------------
@@ -163,6 +176,15 @@ def test_packing_rejects_bad_q():
         packing_number(m, m.point([0.5]), 0.1, 0.2, pool_seed=0)
     with pytest.raises(InputError):
         packing_number(m, m.point([0.5]), 0.1, 0.1, pool_seed=0)
+
+
+@pytest.mark.parametrize("pool_size", [0, -5])
+def test_packing_rejects_empty_pool(pool_size):
+    m = sphere(2)
+    with pytest.raises(InputError, match="pool_size must be >= 1"):
+        packing_number(m, m.origin(), 1.0, 0.5, pool_seed=0, pool_size=pool_size)
+    with pytest.raises(InputError, match="pool_size must be >= 1"):
+        check_packing_bound(m, cases=3, pool_size=pool_size)
 
 
 def test_packing_fills_pool_on_small_high_dimensional_cap():
