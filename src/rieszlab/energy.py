@@ -33,7 +33,6 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, InputError
 from .manifold import (SQRT2_2, SQRT3_2, FlatTorus, Manifold, Point, Sphere,
@@ -340,6 +339,7 @@ def _sphere_radial(m: Sphere, s: float, upper: float, tol: float) -> float:
     the transformed integrand is p * (sin t / t)^(d-1), smooth on the
     whole range.
     """
+    from scipy import integrate
     d = m.dim
     p = 1.0 / (d - s)
 
@@ -356,6 +356,7 @@ def _sphere_radial(m: Sphere, s: float, upper: float, tol: float) -> float:
 
 def _torus_radial(m: FlatTorus, s: float, tol: float) -> float:
     """Integral of r^(-s) against the radial ball-volume density on T^d."""
+    from scipy import integrate
     d = m.dim
     # r <= 1/2: the volume density is the Euclidean one; exact.
     head = small_ball_energy(m, s, 0.5, tol)

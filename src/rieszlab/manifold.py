@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InputError
 from .rng import stream
@@ -295,12 +294,14 @@ class Sphere(Manifold):
 
     @property
     def total_volume(self) -> float:
+        from scipy import special
         d = self.dim
         return 2.0 * math.pi ** ((d + 1) / 2.0) / special.gamma((d + 1) / 2.0)
 
     def zonal_normalization(self) -> float:
         """Integral of sin^(d-1) t over (0, pi)."""
         if self._zonal_norm is None:
+            from scipy import special
             d = self.dim
             self._zonal_norm = math.sqrt(math.pi) * special.gamma(d / 2.0) / special.gamma((d + 1) / 2.0)
         return self._zonal_norm
@@ -356,8 +357,10 @@ class Sphere(Manifold):
             return self.dist_from_sq(q) / math.pi
         # (1 - <x, y>) / 2 = q / 4 is Beta(d/2, d/2) under the uniform measure
         x = np.minimum(q / 4.0, 1.0)
-        half = self.dim / 2.0
-        return x if self.dim == 2 else special.betainc(half, half, x)
+        if self.dim == 2:
+            return x
+        from scipy import special
+        return special.betainc(self.dim / 2.0, self.dim / 2.0, x)
 
 
 class FlatTorus(Manifold):
@@ -522,8 +525,10 @@ def euclidean_ball_volume(d: int, r):
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
 
 
+@functools.cache
 def _unit_ball_volume(d: int) -> float:
     """c_d = pi^(d/2) / Gamma(d/2 + 1), the volume of the Euclidean unit d-ball."""
+    from scipy import special
     return math.pi ** (d / 2.0) / special.gamma(d / 2.0 + 1.0)
 
 

@@ -216,8 +216,8 @@ def packing_number(m: Manifold, x: Point, r: float, q: float, pool_seed: int,
     """
     if not (0.0 < q < r):
         raise InputError(f"need 0 < q < r, got q={q}, r={r}")
-    if not pool_size >= 1:
-        raise InputError(f"pool_size must be >= 1, got {pool_size}")
+    if isinstance(pool_size, bool) or not isinstance(pool_size, (int, np.integer)) or pool_size < 1:
+        raise InputError(f"pool_size must be >= 1 and an int, got {pool_size!r}")
     if r > m.diameter:
         raise InputError(f"r={r} exceeds the diameter {m.diameter:.6g}")
     rng = stream(pool_seed, "packing-pool")
@@ -255,8 +255,8 @@ def check_packing_bound(m: Manifold, cases: int = 50, seed: int = 0,
                         pool_size: int = 2048) -> BoundCheckReport:
     """Greedy packing counts against the bound C2 (r/q)^d with
     C2 = 3^d * C_top / C_bot taken from the fitted large-ball constants."""
-    if cases < 1:
-        raise InputError("need at least one case")
+    if isinstance(cases, bool) or not isinstance(cases, (int, np.integer)) or cases < 1:
+        raise InputError(f"cases must be >= 1 and an int, got {cases!r}")
     large = check_large_ball_bounds(m)
     c2 = 3.0 ** m.dim * large.constants["c_top"] / large.constants["c_bot"]
     rng = stream(seed, "packing-cases")

@@ -178,13 +178,27 @@ def test_packing_rejects_bad_q():
         packing_number(m, m.point([0.5]), 0.1, 0.1, pool_seed=0)
 
 
-@pytest.mark.parametrize("pool_size", [0, -5])
+@pytest.mark.parametrize("pool_size", [0, -5, 1.5, 2048.0, True, "64", None])
 def test_packing_rejects_empty_pool(pool_size):
     m = sphere(2)
     with pytest.raises(InputError, match="pool_size must be >= 1"):
         packing_number(m, m.origin(), 1.0, 0.5, pool_seed=0, pool_size=pool_size)
     with pytest.raises(InputError, match="pool_size must be >= 1"):
         check_packing_bound(m, cases=3, pool_size=pool_size)
+
+
+@pytest.mark.parametrize("cases", [0, 1.5, 3.0, True, "3", None])
+def test_packing_bound_rejects_non_integer_cases(cases):
+    with pytest.raises(InputError, match="cases must be >= 1 and an int"):
+        check_packing_bound(sphere(2), cases=cases, pool_size=64)
+
+
+def test_packing_accepts_numpy_integer_sizes():
+    m = sphere(2)
+    count = packing_number(m, m.origin(), 1.0, 0.5, pool_seed=0, pool_size=np.int64(256))
+    assert count == packing_number(m, m.origin(), 1.0, 0.5, pool_seed=0, pool_size=256)
+    rep = check_packing_bound(m, cases=np.int32(2), pool_size=256)
+    assert rep.grid == {"cases": 2, "pool_size": 256}
 
 
 def test_packing_fills_pool_on_small_high_dimensional_cap():
