@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .energy import _chunked_pass, _jump_values
-from .errors import InputError
+from .errors import InputError, as_count
 from .manifold import Point, _as_vector
 from .pointsets import _separation_report
 from .rng import stream
@@ -85,11 +85,8 @@ def _tiled_pass(X, extra_centers: int | None, seed: int, s: float | None = None)
     last two None without s.  Coincident points raise the energy's
     DomainError.
     """
-    if extra_centers is None:
-        extra_centers = 4 * X.n
-    if extra_centers < 0:
-        raise InputError("extra_centers must be >= 0")
     n = X.n
+    extra_centers = 4 * n if extra_centers is None else as_count("extra_centers", extra_centers, 0)
     extra = X.manifold._sample(stream(seed, "discrepancy-centers"), extra_centers)
     result = _chunked_pass(X, s=s, separation=s is not None, extra=extra)
     k = int(np.argmax(result.jumps))  # first occurrence = smallest center index
@@ -104,7 +101,7 @@ def _tiled_pass(X, extra_centers: int | None, seed: int, s: float | None = None)
         side=side,
         center_set={
             "code_points": int(n),
-            "extra_centers": int(extra_centers),
+            "extra_centers": extra_centers,
             "seed": int(seed),
         },
         provenance=dict(X.provenance),

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, as_count, as_real
 from .manifold import (SQRT2_2, SQRT3_2, FlatTorus, Manifold, Point, Sphere,
                        _unit_ball_volume, sum_of_squares)
 from .parallel import chunk_ranges, map_ordered
@@ -51,15 +52,12 @@ DEFAULT_QUAD_TOL = 1e-10
 
 def check_exponent(s: float, d: int) -> None:
     """The Riesz exponent must satisfy 0 < s < d (the energy integral
-    diverges otherwise)."""
+    diverges otherwise); s not a number or d not a count is an InputError."""
+    d = as_count("d", d, 1)
+    if isinstance(s, bool) or not isinstance(s, numbers.Real):
+        raise InputError(f"s must be a real number, got {s!r}")
     if not (0.0 < s < d):
         raise DomainError(f"Riesz exponent must satisfy 0 < s < d={d}, got s={s}")
-
-
-def _check_quad_tol(tol: float) -> None:
-    """The absolute quadrature tolerance must be finite and > 0."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError(f"quad_tol must be finite and > 0, got {tol}")
 
 
 def riesz_kernel(r, s: float):
@@ -290,11 +288,10 @@ def punctured_mean_potential(X, i: int, s: float) -> float:
     1/N normalization (not 1/(N-1))."""
     check_exponent(s, X.manifold.dim)
     n = X.n
-    if not (0 <= i < n):
-        raise InputError(f"index {i} out of range for a set of {n} points")
+    center = X.point(i).coords  # checks 0 <= i < n
     if n == 1:
         return 0.0
-    d = X.manifold.distances_from(X.coords[i], X.coords)
+    d = X.manifold.distances_from(center, X.coords)
     others = np.delete(np.arange(n), i)
     d = d[others]
     zero = d <= 0.0
@@ -397,7 +394,7 @@ def continuous_energy(m: Manifold, s: float, tol: float = DEFAULT_QUAD_TOL) -> f
     (InputError); raises DomainError for s outside (0, d).
     """
     check_exponent(s, m.dim)
-    _check_quad_tol(tol)
+    tol = as_real("quad_tol", tol, (">", 0))
     if isinstance(m, Sphere):
         return _sphere_radial(m, s, math.pi, tol)
     if isinstance(m, FlatTorus):
@@ -423,7 +420,7 @@ def small_ball_energy(m: Manifold, s: float, r: float, tol: float = DEFAULT_QUAD
     density is exactly Euclidean).  tol is checked as by continuous_energy.
     """
     check_exponent(s, m.dim)
-    _check_quad_tol(tol)
+    tol = as_real("quad_tol", tol, (">", 0))
     if not (0.0 < r):
         raise InputError(f"radius must be positive, got {r}")
     if isinstance(m, Sphere):
@@ -451,8 +448,7 @@ def energy_gradient(X, s: float, cut_margin: float = 1e-12) -> np.ndarray:
     with the bits of a serial run.
     """
     check_exponent(s, X.manifold.dim)
-    if not (0.0 <= cut_margin < 1.0):
-        raise InputError(f"cut_margin must satisfy 0 <= cut_margin < 1, got {cut_margin}")
+    cut_margin = as_real("cut_margin", cut_margin, (">=", 0), ("<", 1))
     if X.n < 2:
         return np.zeros_like(X.coords)
     return _chunked_pass(X, gradient=(s, (cut_margin,))).gradients[0]

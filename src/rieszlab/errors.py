@@ -1,10 +1,17 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the two checks of the
+public counts and reals.
 
 Two failure classes are distinguished because the CLI maps them to
 different exit codes: malformed requests (exit 1) versus requests that
 are well formed but land outside the numerical domain of an operation
 (exit 2), such as coincident points or an exponent outside (0, d).
 """
+
+import numbers
+import operator
+import sys
+
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 class RieszlabError(Exception):
@@ -18,3 +25,26 @@ class InputError(RieszlabError):
 class DomainError(RieszlabError):
     """Numerical-domain violation: coincident points, exponent out of
     range, cut-locus log map (CLI exit code 2)."""
+
+
+def as_count(name: str, value, minimum: int) -> int:
+    """value as an int, for a count, index or seed: an integer (a numpy
+    integer will do; a bool or an integral float will not) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InputError(f"{name} must be >= {minimum} and an int, got {value!r}")
+    return int(value)
+
+
+def as_real(name: str, value, *bounds) -> float:
+    """value as a float, for a tolerance or a radius: a finite real number,
+    not a bool, that meets each bound, an (operator, limit) pair such as
+    (">", 0)."""
+    # NaN, the infinities and ints beyond the float range fail the abs test;
+    # the bounds are checked on the float that is returned
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        x = float(value)
+        if all(_COMPARISONS[op](x, limit) for op, limit in bounds):
+            return x
+    stated = " and ".join(["finite"] + [f"{op} {limit}" for op, limit in bounds])
+    raise InputError(f"{name} must be {stated}, got {value!r}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .discrepancy import _tiled_pass
 from .energy import DEFAULT_QUAD_TOL, check_exponent, continuous_energy
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, as_count
 from .manifold import Manifold
 from .pointsets import generate_pointset
 from .verify import energy_rate_exponent
@@ -53,12 +53,11 @@ class RateExperimentConfig:
         check_exponent(self.s, self.manifold.dim)
         if len(self.ns) < 1:
             raise InputError("schedule must contain at least one N")
-        if any(b <= a for a, b in zip(self.ns, self.ns[1:])):
+        ns = [as_count(f"ns[{k}]", n, 2) for k, n in enumerate(self.ns)]
+        if any(b <= a for a, b in zip(ns, ns[1:])):
             raise InputError("schedule must be strictly increasing")
-        if any(n < 2 for n in self.ns):
-            raise InputError("every N in the schedule must be >= 2")
-        if self.extra_centers < 0:
-            raise InputError("extra_centers must be >= 0")
+        as_count("extra_centers", self.extra_centers, 0)
+        as_count("seed", self.seed, 0)
 
     def describe(self) -> dict:
         return {
@@ -124,13 +123,14 @@ class RateReport:
 
 
 def fit_loglog(xs, ys) -> LogLogFit:
-    """Least squares of log(y) on log(x); inputs must be positive."""
+    """Least squares of log(y) on log(x); inputs must be finite and positive."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) != len(ys) or len(xs) < 2:
         raise InputError("need at least 2 paired samples")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise InputError("log-log fit requires strictly positive data")
+    for name, a in (("xs", xs), ("ys", ys)):
+        if not np.all(np.isfinite(a) & (a > 0.0)):
+            raise InputError(f"log-log fit requires finite, strictly positive {name}")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept
@@ -163,7 +163,7 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
     for idx, n in enumerate(cfg.ns):
         t0 = time.perf_counter()
         row_seed = cfg.seed * 100003 + idx
-        pool = int(cfg.generator_params.get("candidate_pool", 10 * n))
+        pool = cfg.generator_params.get("candidate_pool", 10 * n)
         X = generate_pointset(m, cfg.generator, int(n), row_seed, candidate_pool=pool)
         try:
             disc, e_disc, sep = _tiled_pass(X, cfg.extra_centers, row_seed, cfg.s)
@@ -212,8 +212,8 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
 
 def geometric_schedule(n_min: int, n_max: int) -> list:
     """Doubling schedule n_min, 2 n_min, ..., up to n_max."""
-    if n_min < 2 or n_max < n_min:
-        raise InputError("need 2 <= n_min <= n_max")
+    n_min = as_count("n_min", n_min, 2)
+    n_max = as_count("n_max", n_max, n_min)
     out = []
     n = n_min
     while n <= n_max:

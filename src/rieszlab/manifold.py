@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, as_count
 from .rng import stream
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
@@ -110,9 +110,7 @@ class Manifold(ABC):
     kind: ManifoldKind
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise InputError(f"dimension must be >= 1, got {dim}")
-        self._dim = int(dim)
+        self._dim = as_count("dim", dim, 1)
 
     @property
     def dim(self) -> int:
@@ -177,8 +175,7 @@ class Manifold(ABC):
     def sample(self, seed: int, n: int) -> np.ndarray:
         """n i.i.d. points from the normalized volume measure, as an
         (n, ambient_dim) array; deterministic given the seed."""
-        if n < 1:
-            raise InputError(f"sample size must be >= 1, got {n}")
+        n = as_count("n", n, 1)
         return self._sample(stream(seed, "sample-uniform"), n)
 
     def ball_volume(self, r):
@@ -276,10 +273,6 @@ class Sphere(Manifold):
 
     kind = ManifoldKind.SPHERE
 
-    def __init__(self, dim: int):
-        super().__init__(dim)
-        self._zonal_norm = None  # cached integral of sin^(d-1) over (0, pi)
-
     @property
     def ambient_dim(self) -> int:
         return self.dim + 1
@@ -300,11 +293,9 @@ class Sphere(Manifold):
 
     def zonal_normalization(self) -> float:
         """Integral of sin^(d-1) t over (0, pi)."""
-        if self._zonal_norm is None:
-            from scipy import special
-            d = self.dim
-            self._zonal_norm = math.sqrt(math.pi) * special.gamma(d / 2.0) / special.gamma((d + 1) / 2.0)
-        return self._zonal_norm
+        from scipy import special
+        d = self.dim
+        return math.sqrt(math.pi) * special.gamma(d / 2.0) / special.gamma((d + 1) / 2.0)
 
     def _normalize(self, coords):
         norms = np.linalg.norm(coords, axis=1)
@@ -516,8 +507,7 @@ def ball_volume(m: Manifold, r):
 def euclidean_ball_volume(d: int, r):
     """Volume of the Euclidean d-ball of radius r: c_d r^d, computed as
     c_d (r^2)^(d/2), the form the torus volume takes below radius 1/2."""
-    if d < 1:
-        raise InputError(f"dimension must be >= 1, got {d}")
+    d = as_count("d", d, 1)
     arr = np.asarray(r, dtype=float)
     if not np.all(arr >= 0):
         raise InputError("ball radius must be >= 0")

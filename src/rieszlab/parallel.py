@@ -8,7 +8,7 @@ parallel runs are therefore bit-identical.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import InputError
+from .errors import InputError, as_count
 
 THREADS_ENV = "RIESZ_THREADS"
 
@@ -20,9 +20,7 @@ def resolve_threads() -> int:
         threads = int(raw) if raw else 1
     except ValueError as exc:
         raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if threads < 0:
-        raise InputError(f"{THREADS_ENV} must be >= 0, got {threads}")
-    return threads or os.cpu_count() or 1
+    return as_count(THREADS_ENV, threads, 0) or os.cpu_count() or 1
 
 
 def map_ordered(fn, items, fold=None):

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import energy as _energy
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, as_count, as_real
 from .manifold import FlatTorus, Manifold, Point, Sphere, sample_uniform
 from .rng import stream
 
@@ -66,6 +66,9 @@ class PointSet:
         return self.coords.shape[0]
 
     def point(self, i: int) -> Point:
+        i = as_count("i", i, 0)
+        if i >= self.n:
+            raise InputError(f"index {i} out of range for a set of {self.n} points")
         return Point(self.coords[i].copy())
 
     def __len__(self):
@@ -151,15 +154,14 @@ def _separation_report(X: PointSet, q, pair) -> SeparationReport:
 def fibonacci_sphere(n: int) -> PointSet:
     """Spiral lattice on S^2: z_k = 1 - (2k+1)/n, longitude stepped by the
     golden-ratio conjugate."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = as_count("n", n, 1)
     m = Sphere(2)
     k = np.arange(n)
     z = 1.0 - (2.0 * k + 1.0) / n
     phi = 2.0 * math.pi * k * GOLDEN_RATIO_CONJUGATE
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     coords = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-    return PointSet(m, coords, provenance={"generator": "fibonacci", "n": int(n)})
+    return PointSet(m, coords, provenance={"generator": "fibonacci", "n": n})
 
 
 def kronecker_alphas(d: int) -> np.ndarray:
@@ -171,13 +173,10 @@ def kronecker_alphas(d: int) -> np.ndarray:
 def kronecker_torus(d: int, n: int) -> PointSet:
     """Kronecker sequence x_k = k * alpha mod 1 on T^d with badly
     approximable irrational steps."""
-    if d < 1:
-        raise InputError(f"d must be >= 1, got {d}")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
     m = FlatTorus(d)
-    coords = (np.arange(n)[:, None] * kronecker_alphas(d)[None, :]) % 1.0
-    return PointSet(m, coords, provenance={"generator": "kronecker", "d": int(d), "n": int(n)})
+    n = as_count("n", n, 1)
+    coords = (np.arange(n)[:, None] * kronecker_alphas(m.dim)[None, :]) % 1.0
+    return PointSet(m, coords, provenance={"generator": "kronecker", "d": m.dim, "n": n})
 
 
 def farthest_point_sample(m: Manifold, n: int, seed: int, candidate_pool: int | None = None) -> PointSet:
@@ -187,12 +186,10 @@ def farthest_point_sample(m: Manifold, n: int, seed: int, candidate_pool: int | 
     farthest from the current set.  The pool must hold at least 10 * n
     candidates.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = as_count("n", n, 1)
     if candidate_pool is None:
         candidate_pool = max(10 * n, 1024)
-    if candidate_pool < 10 * n:
-        raise InputError(f"candidate pool {candidate_pool} too small, need >= {10 * n}")
+    candidate_pool = as_count("candidate_pool", candidate_pool, 10 * n)
     rng = stream(seed, "farthest-point-sample")
     start = m._sample(rng, 1)[0]
     chosen = [start]
@@ -207,8 +204,8 @@ def farthest_point_sample(m: Manifold, n: int, seed: int, candidate_pool: int | 
     return PointSet(m, np.array(chosen), provenance={
         "generator": "farthest-point",
         "seed": int(seed),
-        "n": int(n),
-        "candidate_pool": int(candidate_pool),
+        "n": n,
+        "candidate_pool": candidate_pool,
     })
 
 
@@ -262,6 +259,8 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
     starting set with coincident points raises InputError naming a pair.
     """
     _energy.check_exponent(s, X0.manifold.dim)
+    max_iters = as_count("max_iters", max_iters, 0)
+    tol = as_real("tol", tol, (">=", 0))
     m = X0.manifold
     n, d = X0.n, m.dim
     current = PointSet._trusted(m, X0.coords)

@@ -10,7 +10,7 @@ import zlib
 
 import numpy as np
 
-from .errors import InputError
+from .errors import as_count
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
@@ -19,8 +19,6 @@ def stream(seed: int, name: str) -> np.random.Generator:
     The stream key is derived from a CRC of the operation name, so the
     same (seed, name) pair yields the same sequence on every platform.
     """
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
     key = zlib.crc32(name.encode("utf-8"))
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(key,))
+    seq = np.random.SeedSequence(entropy=as_count("seed", seed, 0), spawn_key=(key,))
     return np.random.Generator(np.random.Philox(seq))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .energy import DEFAULT_QUAD_TOL, check_exponent, mean_potential, small_ball_energy
-from .errors import InputError
+from .errors import InputError, as_count, as_real
 from .manifold import FlatTorus, Manifold, Point, Sphere, _gauss_legendre_01
 from .rng import stream
 
@@ -38,11 +38,8 @@ class BoundCheckReport:
 
 def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
     """Decade-friendly geometric grid; exposes r -> 0 behavior."""
-    if not (0.0 < lo < hi):
-        raise InputError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    if count < 2:
-        raise InputError("grid needs at least 2 points")
-    return np.geomspace(lo, hi, count)
+    lo = as_real("lo", lo, (">", 0))
+    return np.geomspace(lo, as_real("hi", hi, (">", lo)), as_count("count", count, 2))
 
 
 def _grid_descr(radii: np.ndarray) -> dict:
@@ -151,8 +148,7 @@ def check_small_ball_bounds(m: Manifold, r_max: float, radii=None) -> BoundCheck
     """Fit C_L and C_H on a grid below r_max (< injectivity radius) and
     verify the ratio C_H / C_L tightens toward 1 when the cap shrinks to
     r_max / 4."""
-    if not (0.0 < r_max < m.injectivity_radius):
-        raise InputError("r_max must lie in (0, injectivity radius)")
+    r_max = as_real("r_max", r_max, (">", 0), ("<", m.injectivity_radius))
     if radii is None:
         radii = geometric_grid(r_max * 1e-3, r_max, 64)
     radii = np.sort(np.asarray(radii, dtype=float))
@@ -214,13 +210,10 @@ def packing_number(m: Manifold, x: Point, r: float, q: float, pool_seed: int,
     restricted to B(x, r), visited by decreasing distance from x, and
     accepted when at least q away from every earlier acceptance.
     """
-    if not (0.0 < q < r):
-        raise InputError(f"need 0 < q < r, got q={q}, r={r}")
-    if isinstance(pool_size, bool) or not isinstance(pool_size, (int, np.integer)) or pool_size < 1:
-        raise InputError(f"pool_size must be >= 1 and an int, got {pool_size!r}")
-    if r > m.diameter:
-        raise InputError(f"r={r} exceeds the diameter {m.diameter:.6g}")
-    rng = stream(pool_seed, "packing-pool")
+    q = as_real("q", q, (">", 0))
+    r = as_real("r", r, (">", q), ("<=", m.diameter))
+    pool_size = as_count("pool_size", pool_size, 1)
+    rng = stream(as_count("pool_seed", pool_seed, 0), "packing-pool")
     xc = np.asarray(x.coords, dtype=float)
     pool = []
     need = pool_size
@@ -255,8 +248,7 @@ def check_packing_bound(m: Manifold, cases: int = 50, seed: int = 0,
                         pool_size: int = 2048) -> BoundCheckReport:
     """Greedy packing counts against the bound C2 (r/q)^d with
     C2 = 3^d * C_top / C_bot taken from the fitted large-ball constants."""
-    if isinstance(cases, bool) or not isinstance(cases, (int, np.integer)) or cases < 1:
-        raise InputError(f"cases must be >= 1 and an int, got {cases!r}")
+    cases = as_count("cases", cases, 1)
     large = check_large_ball_bounds(m)
     c2 = 3.0 ** m.dim * large.constants["c_top"] / large.constants["c_bot"]
     rng = stream(seed, "packing-cases")
@@ -272,7 +264,7 @@ def check_packing_bound(m: Manifold, cases: int = 50, seed: int = 0,
     return BoundCheckReport(
         check="packing-bound",
         manifold=m.describe(),
-        grid={"cases": int(cases), "pool_size": int(pool_size)},
+        grid={"cases": cases, "pool_size": int(pool_size)},
         constants={"c2": c2, "c_top": large.constants["c_top"], "c_bot": large.constants["c_bot"]},
         worst_ratio=worst,
         tolerance=1.0,
@@ -290,8 +282,8 @@ def check_small_ball_energy(m: Manifold, s: float, radii=None,
     """Ratio of the truncated radial kernel integral to r^(d-s), checked
     against the fitted small-ball constant."""
     check_exponent(s, m.dim)
-    if r_max is None:
-        r_max = 0.5 * m.injectivity_radius
+    r_max = (0.5 * m.injectivity_radius if r_max is None
+             else as_real("r_max", r_max, (">", 0), ("<", m.injectivity_radius)))
     if radii is None:
         radii = geometric_grid(r_max * 1e-3, r_max, 32)
     radii = np.sort(np.asarray(radii, dtype=float))
@@ -335,10 +327,8 @@ def check_mean_potential_holder(m: Manifold, s: float, pairs: int = 20, seed: in
     once, so a manifold or exponent where it is undefined raises.
     """
     check_exponent(s, m.dim)
-    if pairs < 1:
-        raise InputError("need at least one pair")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    pairs = as_count("pairs", pairs, 1)
+    seed = as_count("seed", seed, 0)
     beta = holder_exponent(m.dim, s)
     r0 = m.injectivity_radius
     scales = np.geomspace(r0 * 1e-4, r0 * 1e-1, 4)
@@ -347,12 +337,12 @@ def check_mean_potential_holder(m: Manifold, s: float, pairs: int = 20, seed: in
     return BoundCheckReport(
         check="mean-potential-holder",
         manifold=m.describe(),
-        grid={"scales": [float(t) for t in scales], "pairs_per_scale": int(pairs)},
+        grid={"scales": [float(t) for t in scales], "pairs_per_scale": pairs},
         constants={"exponent": beta, "max_ratio": worst},
         worst_ratio=worst,
         tolerance=1.0,
         passed=bool(worst <= 1.0),
-        params={"s": float(s), "seed": int(seed), "degenerate_by_homogeneity": True},
+        params={"s": float(s), "seed": seed, "degenerate_by_homogeneity": True},
     )
 
 

@@ -1,0 +1,207 @@
+"""Contract of the public surface: a bad count, index, seed or tolerance is
+an InputError that names the argument (a bad exponent is a DomainError),
+never a bare TypeError, ValueError or IndexError, and never a silent
+result.
+
+TABLE lists each public callable with the argument under test and small
+valid values for every other argument (N <= 16, no thread setting), so no
+hostile value can start large work.
+"""
+
+import inspect
+import math
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rieszlab as rl
+from rieszlab.verify import geometric_grid
+
+S2 = rl.sphere(2)
+T2 = rl.flat_torus(2)
+X = rl.fibonacci_sphere(8)
+POLE = S2.origin()
+
+
+def _rate(**changes):
+    cfg = dict(manifold=T2, s=1.0, generator="kronecker", ns=[4, 8], extra_centers=0)
+    return rl.run_rate_experiment(rl.RateExperimentConfig(**{**cfg, **changes}))
+
+
+# (callable, argument, call with the value under test in that argument)
+TABLE = [
+    ("sphere", "dim", lambda v: rl.sphere(v)),
+    ("flat_torus", "dim", lambda v: rl.flat_torus(v)),
+    ("Sphere", "dim", lambda v: rl.Sphere(v)),
+    ("FlatTorus", "dim", lambda v: rl.FlatTorus(v)),
+    ("make_manifold", "dim", lambda v: rl.make_manifold("torus", v)),
+    ("Manifold.sample", "n", lambda v: S2.sample(0, v)),
+    ("euclidean_ball_volume", "d", lambda v: rl.euclidean_ball_volume(v, 0.5)),
+    ("sample_uniform", "seed", lambda v: rl.sample_uniform(S2, v, 4)),
+    ("sample_uniform", "n", lambda v: rl.sample_uniform(S2, 0, v)),
+    ("PointSet.point", "i", lambda v: X.point(v)),
+    ("fibonacci_sphere", "n", lambda v: rl.fibonacci_sphere(v)),
+    ("kronecker_torus", "d", lambda v: rl.kronecker_torus(v, 4)),
+    ("kronecker_torus", "n", lambda v: rl.kronecker_torus(2, v)),
+    ("farthest_point_sample", "n", lambda v: rl.farthest_point_sample(S2, v, 0)),
+    ("farthest_point_sample", "seed", lambda v: rl.farthest_point_sample(S2, 8, v, 80)),
+    ("farthest_point_sample", "candidate_pool", lambda v: rl.farthest_point_sample(S2, 1, 0, v)),
+    ("minimize_riesz_energy", "max_iters", lambda v: rl.minimize_riesz_energy(X, 1.0, max_iters=v)),
+    ("minimize_riesz_energy", "tol", lambda v: rl.minimize_riesz_energy(X, 1.0, 2, tol=v)),
+    ("continuous_energy", "tol", lambda v: rl.continuous_energy(S2, 1.0, v)),
+    ("mean_potential", "tol", lambda v: rl.mean_potential(S2, POLE, 1.0, v)),
+    ("energy_report", "tol", lambda v: rl.energy_report(X, 1.0, v)),
+    ("energy_gradient", "cut_margin", lambda v: rl.energy_gradient(X, 1.0, v)),
+    ("punctured_mean_potential", "i", lambda v: rl.punctured_mean_potential(X, v, 1.0)),
+    ("discrete_energy", "s", lambda v: rl.discrete_energy(X, v)),
+    ("estimate_discrepancy", "extra_centers", lambda v: rl.estimate_discrepancy(X, v)),
+    ("estimate_discrepancy", "seed", lambda v: rl.estimate_discrepancy(X, 4, v)),
+    ("holder_exponent", "d", lambda v: rl.holder_exponent(v, 0.5)),
+    ("holder_exponent", "s", lambda v: rl.holder_exponent(2, v)),
+    ("energy_rate_exponent", "d", lambda v: rl.energy_rate_exponent(v, 0.5)),
+    ("energy_rate_exponent", "s", lambda v: rl.energy_rate_exponent(2, v)),
+    ("packing_number", "r", lambda v: rl.packing_number(S2, POLE, v, 0.5, 0, 16)),
+    ("packing_number", "q", lambda v: rl.packing_number(S2, POLE, 1.0, v, 0, 16)),
+    ("packing_number", "pool_seed", lambda v: rl.packing_number(S2, POLE, 1.0, 0.5, v, 16)),
+    ("packing_number", "pool_size", lambda v: rl.packing_number(S2, POLE, 1.0, 0.5, 0, v)),
+    ("check_packing_bound", "cases", lambda v: rl.check_packing_bound(S2, v, 0, 16)),
+    ("check_packing_bound", "seed", lambda v: rl.check_packing_bound(S2, 1, v, 16)),
+    ("check_packing_bound", "pool_size", lambda v: rl.check_packing_bound(S2, 1, 0, v)),
+    ("check_small_ball_bounds", "r_max", lambda v: rl.check_small_ball_bounds(S2, v)),
+    ("check_small_ball_energy", "r_max", lambda v: rl.check_small_ball_energy(T2, 1.0, r_max=v)),
+    ("check_mean_potential_holder", "pairs", lambda v: rl.check_mean_potential_holder(S2, 1.0, v)),
+    ("check_mean_potential_holder", "seed", lambda v: rl.check_mean_potential_holder(S2, 1.0, 2, v)),
+    ("check_mean_potential_holder", "tol",
+     lambda v: rl.check_mean_potential_holder(S2, 1.0, 2, 0, v)),
+    ("geometric_schedule", "n_min", lambda v: rl.geometric_schedule(v, 64)),
+    ("geometric_schedule", "n_max", lambda v: rl.geometric_schedule(2, v)),
+    ("geometric_grid", "count", lambda v: geometric_grid(0.1, 1.0, v)),
+    ("RateExperimentConfig", "extra_centers", lambda v: _rate(extra_centers=v)),
+    ("RateExperimentConfig", "seed", lambda v: _rate(seed=v)),
+    ("RateExperimentConfig", "quad_tol", lambda v: _rate(quad_tol=v)),
+]
+
+HOSTILE = [math.nan, math.inf, -math.inf, -1, 0, 1.5, True, "3", None]
+
+
+# more examples than rows times values: hypothesis draws every pair once, then stops
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(TABLE), st.sampled_from(HOSTILE))
+def test_hostile_argument_returns_or_raises_a_rieszlab_error(row, value):
+    _, _, call = row
+    try:
+        call(value)
+    except rl.RieszlabError:
+        pass
+
+
+# Arguments that raised a bare exception or gave a silent wrong result
+# before the two checks of errors.py took them over.
+PROBES = [
+    ("n", lambda: rl.sample_uniform(S2, 0, 2.5)),
+    ("n", lambda: rl.farthest_point_sample(S2, 2.5, 0)),
+    ("candidate_pool", lambda: rl.farthest_point_sample(S2, 8, 0, 100.5)),
+    ("extra_centers", lambda: rl.estimate_discrepancy(X, 1.5)),
+    ("extra_centers", lambda: _rate(extra_centers=1.5)),
+    ("max_iters", lambda: rl.minimize_riesz_energy(X, 1.0, max_iters=1.5)),
+    ("count", lambda: geometric_grid(0.1, 1, 2.5)),
+    ("dim", lambda: rl.flat_torus(math.nan)),
+    ("i", lambda: rl.punctured_mean_potential(X, 1.5, 1.0)),
+    ("dim", lambda: rl.sphere(2.5)),
+    ("dim", lambda: rl.sphere(True)),
+    ("dim", lambda: rl.make_manifold("sphere", 2.5)),
+    ("n", lambda: rl.fibonacci_sphere(2.5)),
+    ("n", lambda: rl.kronecker_torus(2, 2.5)),
+    ("n_min", lambda: rl.geometric_schedule(2.5, 10)),
+    ("seed", lambda: rl.sample_uniform(S2, 1.5, 4)),
+    ("seed", lambda: rl.sample_uniform(S2, True, 4)),
+    ("seed", lambda: rl.estimate_discrepancy(X, 4, seed=1.5)),
+    ("pool_seed", lambda: rl.packing_number(S2, POLE, 1.0, 0.5, 1.5, 64)),
+    ("seed", lambda: _rate(seed=1.5)),
+    ("ns", lambda: _rate(ns=[8.5, 16])),
+    ("tol", lambda: rl.minimize_riesz_energy(X, 1.0, max_iters=3, tol=math.nan)),
+    ("d", lambda: rl.holder_exponent(2.5, 1.0)),
+    ("d", lambda: rl.energy_rate_exponent(2.5, 1.0)),
+    ("d", lambda: rl.euclidean_ball_volume(2.5, 1.0)),
+    ("d", lambda: rl.euclidean_ball_volume(math.nan, 1.0)),
+    ("pairs", lambda: rl.check_mean_potential_holder(S2, 1.0, pairs=1.5)),
+    ("seed", lambda: rl.check_mean_potential_holder(S2, 1.0, seed=1.5)),
+    ("ys", lambda: rl.fit_loglog([1.0, 2.0], [1.0, math.nan])),
+]
+
+# Arguments whose checks already held, with the error they must keep.
+HELD = [
+    (rl.InputError, "cases", lambda: rl.check_packing_bound(S2, cases=1.5)),
+    (rl.InputError, "pool_size", lambda: rl.packing_number(S2, POLE, 1.0, 0.5, 0, 1.5)),
+    (rl.InputError, "seed", lambda: rl.sample_uniform(S2, -1, 4)),
+    (rl.InputError, "n", lambda: rl.fibonacci_sphere(0)),
+    (rl.InputError, "quad_tol", lambda: rl.continuous_energy(S2, 1.0, math.nan)),
+    (rl.InputError, "cut_margin", lambda: rl.energy_gradient(X, 1.0, math.nan)),
+    (rl.InputError, "extra_centers", lambda: rl.estimate_discrepancy(X, -1)),
+    (rl.InputError, "n_min", lambda: rl.geometric_schedule(1, 10)),
+    (rl.DomainError, "s", lambda: rl.holder_exponent(2, math.nan)),
+    (rl.DomainError, "s", lambda: rl.energy_rate_exponent(2, 3.0)),
+    (rl.DomainError, "s", lambda: rl.discrete_energy(X, math.inf)),
+    (rl.DomainError, "s", lambda: rl.minimize_riesz_energy(X, 0.0, max_iters=3)),
+]
+
+
+def _names(argument, exc):
+    return re.search(rf"\b{re.escape(argument)}\b", str(exc)) is not None
+
+
+@pytest.mark.parametrize("argument,call", PROBES)
+def test_bad_argument_is_an_input_error_naming_it(argument, call):
+    with pytest.raises(rl.InputError) as info:
+        call()
+    assert type(info.value) is rl.InputError
+    assert _names(argument, info.value), str(info.value)
+
+
+@pytest.mark.parametrize("error,argument,call", HELD)
+def test_checks_that_held_keep_their_error(error, argument, call):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert _names(argument, info.value), str(info.value)
+
+
+def test_real_too_large_for_a_float_is_an_input_error():
+    with pytest.raises(rl.InputError, match="quad_tol must be finite and > 0"):
+        rl.continuous_energy(S2, 1.0, 10 ** 400)
+
+
+@pytest.mark.parametrize("ys", [[1.0, math.nan], [1.0, math.inf]])
+@pytest.mark.parametrize("swap", [False, True], ids=["ys", "xs"])
+def test_fit_loglog_rejects_non_finite_data(ys, swap):
+    xs = [1.0, 2.0]
+    args, name = ((ys, xs), "xs") if swap else ((xs, ys), "ys")
+    with pytest.raises(rl.InputError, match=rf"\b{name}\b"):
+        rl.fit_loglog(*args)
+
+
+# Every public parameter with one of these names is a count, index, seed or
+# tolerance, and needs a row in TABLE.
+CHECKED_NAMES = {"n", "dim", "d", "i", "seed", "pool_seed", "cases", "pairs", "pool_size",
+                 "extra_centers", "candidate_pool", "max_iters", "n_min", "n_max", "count",
+                 "tol", "quad_tol", "cut_margin"}
+# Result records store the values the library computed and check nothing.
+RECORDS = {"BoundCheckReport", "DiscrepancyEstimate", "EnergyReport", "RateReport",
+           "SeparationReport"}
+
+
+def test_every_public_count_and_tolerance_has_a_table_row():
+    rows = {(name, argument) for name, argument, _ in TABLE}
+    missing = []
+    for name in rl.__all__:
+        obj = getattr(rl, name)
+        if name in RECORDS or inspect.isabstract(obj) or not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters
+        except ValueError:  # the error classes take *args like their base
+            continue
+        missing += [(name, p) for p in parameters if p in CHECKED_NAMES and (name, p) not in rows]
+    assert missing == []

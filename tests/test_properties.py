@@ -1,15 +1,16 @@
-"""Property tests of the T^3 ball volume, the one torus volume that needs a
-quadrature (the edge overlaps beyond r = sqrt(2)/2), of the energy
-gradient under a permutation of the points, and of the symmetry of the
-axis deltas and the squared distances."""
+"""Property tests of the ball volume (on T^3, the one torus volume that
+needs a quadrature, the edge overlaps beyond r = sqrt(2)/2, and on S^1-S^3,
+T^1 and T^2), of the energy gradient, the energy and the separation under a
+permutation of the points, and of the symmetry of the axis deltas and the
+squared distances."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rieszlab import (PointSet, ball_volume, energy_gradient, flat_torus,
-                      kronecker_torus, sample_uniform, sphere)
+from rieszlab import (PointSet, ball_volume, discrete_energy, energy_gradient, flat_torus,
+                      kronecker_torus, min_geodesic_distance, sample_uniform, sphere)
 from rieszlab.manifold import SQRT2_2, SQRT3_2
 from test_tiles import _cut_band_sets
 
@@ -42,6 +43,23 @@ def test_torus3_ball_volume_nondecreasing_in_unit_interval(rs):
     assert np.all(np.diff(v) >= -ROUNDING)
     # one radius at a time gives the same bits as the batch
     assert np.array([ball_volume(T3, r) for r in rs]).tobytes() == v.tobytes()
+
+
+VOLUME_MANIFOLDS = {f"{name}{d}": make(d) for name, make, dims in
+                    (("S", sphere, (1, 2, 3)), ("T", flat_torus, (1, 2))) for d in dims}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(VOLUME_MANIFOLDS)),
+       st.lists(st.floats(min_value=0.0, max_value=1.25), min_size=1, max_size=40))
+@example("T2", [0.5 / SQRT2_2 * (1 - 1e-15), 0.5 / SQRT2_2, 0.5 / SQRT2_2 * (1 + 1e-15), 1.0])
+@example("S3", [1.0 - 1e-15, 1.0, 1.0 + 1e-15])
+def test_ball_volume_nondecreasing_in_unit_interval(name, fractions):
+    # radii as fractions of the diameter, past it too, where the volume is 1
+    m = VOLUME_MANIFOLDS[name]
+    v = ball_volume(m, np.sort(np.array(fractions)) * m.diameter)
+    assert np.all((v >= 0.0) & (v <= 1.0))
+    assert np.all(np.diff(v) >= -ROUNDING)
 
 
 @PROPERTY
@@ -113,3 +131,22 @@ def test_gradient_rows_follow_a_permutation_of_the_points(name, order):
     # the sums run in another order, so only the rounding may differ
     scale = np.linalg.norm(grad, axis=1).max()
     assert np.abs(permuted - grad[order]).max() <= 1e-13 * scale
+
+
+# uniform sets, so the closest pair is unique; more than one chunk
+SEPARATION_SETS = {f"{name}{d}": sample_uniform(make(d), 90 + d, 300)
+                   for name, make in (("S", sphere), ("T", flat_torus)) for d in (1, 2, 3)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SEPARATION_SETS)), st.permutations(range(300)))
+def test_separation_and_energy_follow_a_permutation_of_the_points(name, order):
+    X = SEPARATION_SETS[name]
+    order = np.array(order)
+    Y = PointSet._trusted(X.manifold, X.coords[order])
+    sep, permuted = min_geodesic_distance(X), min_geodesic_distance(Y)
+    # sq_dist is bitwise symmetric, so the pair's distance keeps its bits
+    assert permuted.min_distance.hex() == sep.min_distance.hex()
+    assert tuple(sorted(int(order[k]) for k in permuted.pair)) == sep.pair
+    # the pairs fall into other chunks, so only the rounding may differ
+    assert discrete_energy(Y, 0.5) == pytest.approx(discrete_energy(X, 0.5), rel=1e-14, abs=0.0)
