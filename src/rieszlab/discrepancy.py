@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .energy import _chunked_pass, _jump_values
-from .errors import InputError, as_count
+from .errors import InputError, as_count, as_real
 from .manifold import Point, _as_vector
 from .pointsets import _separation_report
 from .rng import stream
@@ -49,8 +49,7 @@ class DiscrepancyEstimate:
 
 def ball_count(X, y: Point, r: float) -> int:
     """Number of code points inside the closed ball B(y, r)."""
-    if not (r >= 0):
-        raise InputError("ball radius must be >= 0")
+    r = as_real("r", r, (">=", 0))
     center = _as_vector(y.coords, X.manifold.ambient_dim, "center")
     d = X.manifold.distances_from(center, X.coords)
     return int(np.count_nonzero(d <= r))

@@ -18,11 +18,14 @@ the chunk comes back.  Each chunk is computed in tiles of whole rows
 holding about TILE_ELEMS entries, so TILE_ELEMS fixes the memory: a pass
 uses O(TILE_ELEMS + N) of it.  Each tile's squared distances, its upper
 triangle and its coincident-pair check are computed once and read by
-every reduction asked for; a gradient pass keeps the tile's axis deltas
-(Manifold._axis_deltas) that Q is summed from, and the gradient reads
-them.  Both sizes depend on N only, never on the thread count
-(RIESZ_THREADS), and the kernel makes no BLAS call, so results agree bit
-for bit for any number of threads.
+every reduction asked for.  The triangle mask covers only the tile's
+diagonal strip, its leading columns up to the last row's diagonal: the
+reductions run on the full-width tile and patch the strip, so rows keep
+their length and element order and the results their bits.  A gradient
+pass keeps the tile's axis deltas (Manifold._axis_deltas) that Q is
+summed from, and the gradient reads them.  Both sizes depend on N only,
+never on the thread count (RIESZ_THREADS), and the kernel makes no BLAS
+call, so results agree bit for bit for any number of threads.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InputError, as_count, as_real
+from .errors import DomainError, InputError, as_count, as_real, as_reals
 from .manifold import (SQRT2_2, SQRT3_2, FlatTorus, Manifold, Point, Sphere,
                        _unit_ball_volume, sum_of_squares)
 from .parallel import chunk_ranges, map_ordered
@@ -50,21 +53,28 @@ TILE_ELEMS = 16384
 DEFAULT_QUAD_TOL = 1e-10
 
 
+def _check_real(s) -> None:
+    """An exponent s must be a real number, not a bool (InputError); NaN
+    and the infinities are the range checks' to reject."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Real):
+        raise InputError(f"s must be a real number, got {s!r}")
+
+
 def check_exponent(s: float, d: int) -> None:
     """The Riesz exponent must satisfy 0 < s < d (the energy integral
     diverges otherwise); s not a number or d not a count is an InputError."""
     d = as_count("d", d, 1)
-    if isinstance(s, bool) or not isinstance(s, numbers.Real):
-        raise InputError(f"s must be a real number, got {s!r}")
+    _check_real(s)
     if not (0.0 < s < d):
         raise DomainError(f"Riesz exponent must satisfy 0 < s < d={d}, got s={s}")
 
 
 def riesz_kernel(r, s: float):
     """Riesz kernel r^(-s) for r > 0."""
+    _check_real(s)
     if not (s > 0):
         raise DomainError(f"kernel exponent must be positive, got {s}")
-    arr = np.asarray(r, dtype=float)
+    arr = as_reals("r", r)
     if not np.all(arr > 0):
         raise DomainError("Riesz kernel requires a positive distance (coincident points?)")
     out = arr ** (-s)
@@ -81,8 +91,10 @@ def _tile_ranges(lo, hi, columns):
 def _check_distinct(a, lo, Q, upper):
     """Raise a DomainError naming the global indices of the first
     coincident pair of the upper-triangle tile (a, Q, upper) of the chunk
-    starting at lo."""
-    bad = upper & (Q <= 0.0)
+    starting at lo.  upper masks the tile's leading columns, its diagonal
+    strip; every later column holds pairs."""
+    bad = Q <= 0.0
+    bad[:, :upper.shape[1]] &= upper
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise DomainError(f"coincident points at indices {a + int(i)} and {lo + int(j)}")
@@ -91,15 +103,18 @@ def _check_distinct(a, lo, Q, upper):
 def _tile_row_sums(m, s, Q, upper):
     """Kernel sum of each row of the upper-triangle tile (Q, upper), whose
     pairs are distinct, by numpy's deterministic row reduction."""
-    safe = m.dist_from_sq(np.where(upper, Q, 1.0))
-    return np.where(upper, safe ** (-s), 0.0).sum(axis=1)
+    with np.errstate(divide="ignore"):  # 0^(-s) on the masked diagonal
+        k = m.dist_from_sq(Q) ** (-s)
+    np.copyto(k[:, :upper.shape[1]], 0.0, where=~upper)
+    return k.sum(axis=1)
 
 
 def _tile_min(a, lo, Q, upper):
     """Smallest squared distance of the upper-triangle tile (a, Q, upper)
     of the chunk starting at lo, with the first pair attaining it in row
     order: (q, (i, j))."""
-    masked = np.where(upper, Q, math.inf)
+    masked = Q.copy()
+    np.copyto(masked[:, :upper.shape[1]], math.inf, where=~upper)
     i, j = np.unravel_index(np.argmin(masked), masked.shape)
     return masked[i, j], (a + int(i), lo + int(j))
 
@@ -143,7 +158,8 @@ def _tile_gradient(m, s, margins, x, y, deltas, Q, upper, buffers):
             dist = u_norm = m.dist_from_sq(Q)
         cuts = [m.injectivity_radius * (1.0 - c) for c in margins]
         # the smallest margin cuts furthest out: its pairs count for any margin
-        live = upper & (reach < max(cuts))
+        live = reach < max(cuts)
+        live[:, :upper.shape[1]] &= upper
         w = np.where(live, dist ** (-s - 1.0) / u_norm, 0.0)
     terms = buffers[:, :, :len(Q) + 1]
     for k, cut in enumerate(cuts):
@@ -196,10 +212,15 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
     CHUNK_ROWS, each in tiles of whole rows.  A tile's columns are the code
     points from the chunk start lo on, or all of them for centers.  A tile
     is one sq_dist block; its code-point rows from column lo on are the
-    upper-triangle tile, masked and (for the energy and the gradient)
-    checked for coincident pairs once, then read by every pair reduction
-    and the gradient before the jump values sort it.  Each chunk's gradient
-    partial is folded into the totals in chunk order as it comes back.
+    upper-triangle tile.  Rows a..b-1 of it meet the diagonal only in its
+    first min(b, N) - lo columns, so the mask is built for that strip
+    alone; the reductions read the tile unmasked and overwrite the strip's
+    masked entries (0 for the kernel and the gradient weights, inf for the
+    separation), and the distances gather each row from its diagonal on.
+    The tile is checked for coincident pairs once (for the energy and the
+    gradient), then read by every pair reduction and the gradient before
+    the jump values sort it.  Each chunk's gradient partial is folded into
+    the totals in chunk order as it comes back.
     """
     m, n = X.manifold, X.n
     rows = X.coords if extra is None else np.concatenate([X.coords, extra])
@@ -225,7 +246,8 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
             Q = sum_of_squares(deltas)  # the bits of m.sq_dist on the same tile
             if pairs and a < n:  # rows from n on are extra centers
                 T = Q[:min(b, n) - a, lo - start:]  # T[i, j] is the pair (a + i, lo + j)
-                upper = ~np.tri(*T.shape, a - lo, dtype=bool)  # a + i < lo + j
+                # a + i < lo + j fails only in the first min(b, n) - lo columns
+                upper = ~np.tri(len(T), min(b, n) - lo, a - lo, dtype=bool)
                 if s is not None or gradient is not None:
                     _check_distinct(a, lo, T, upper)
                 if s is not None:
@@ -233,7 +255,8 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
                 if separation:
                     mins.append(_tile_min(a, lo, T, upper))
                 if distances:
-                    dists.append(m.dist_from_sq(T[upper]))
+                    dists.append(m.dist_from_sq(np.concatenate(
+                        [T[i, a - lo + i + 1:] for i in range(len(T))])))
                 if gradient is not None:
                     grad_rows.append(_tile_gradient(m, *gradient, rows[a:b], cols[0, lo:].T,
                                                     deltas, T, upper, buffers))
@@ -421,8 +444,7 @@ def small_ball_energy(m: Manifold, s: float, r: float, tol: float = DEFAULT_QUAD
     """
     check_exponent(s, m.dim)
     tol = as_real("quad_tol", tol, (">", 0))
-    if not (0.0 < r):
-        raise InputError(f"radius must be positive, got {r}")
+    r = as_real("r", r, (">", 0))
     if isinstance(m, Sphere):
         return _sphere_radial(m, s, min(r, math.pi), tol)
     if isinstance(m, FlatTorus):

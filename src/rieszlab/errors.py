@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, and the two checks of the
-public counts and reals.
+"""Exception hierarchy shared by all modules, and the three checks of the
+public counts, reals and arrays of reals.
 
 Two failure classes are distinguished because the CLI maps them to
 different exit codes: malformed requests (exit 1) versus requests that
@@ -10,6 +10,8 @@ are well formed but land outside the numerical domain of an operation
 import numbers
 import operator
 import sys
+
+import numpy as np
 
 _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
@@ -48,3 +50,16 @@ def as_real(name: str, value, *bounds) -> float:
             return x
     stated = " and ".join(["finite"] + [f"{op} {limit}" for op, limit in bounds])
     raise InputError(f"{name} must be {stated}, got {value!r}")
+
+
+def as_reals(name: str, values) -> np.ndarray:
+    """values as a float array (a scalar as a 0-d array), for radii: an
+    array of integers or floats, no bools, strings or objects.  Range
+    checks, NaN's included, are the caller's."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InputError(f"{name} must be real numbers, got {values!r:.60}")
+    return arr.astype(float)

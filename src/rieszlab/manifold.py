@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InputError, as_count
+from .errors import DomainError, InputError, as_count, as_reals
 from .rng import stream
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
@@ -52,8 +52,12 @@ def _gauss_legendre_01(f):
 def sum_of_squares(components):
     """Sum of c * c over the arrays c of components, added in their order:
     the one accumulation behind sq_dist.  A squared norm built from the same
-    axis deltas (or axis sums) through it has the bits sq_dist would give."""
-    total = 0.0
+    axis deltas (or axis sums) through it has the bits sq_dist would give.
+    It starts from the first square, which 0.0 + c * c would equal: c * c
+    is never -0.0."""
+    components = iter(components)
+    c = next(components)
+    total = c * c
     for c in components:
         total += c * c
     return total
@@ -184,7 +188,7 @@ class Manifold(ABC):
         Accepts a scalar or an array.  Exactly 1 for r >= diameter;
         negative and NaN radii raise.
         """
-        arr = np.asarray(r, dtype=float)
+        arr = as_reals("r", r)
         if not np.all(arr >= 0):
             raise InputError("ball radius must be >= 0")
         flat = np.atleast_1d(arr).ravel()
@@ -508,7 +512,7 @@ def euclidean_ball_volume(d: int, r):
     """Volume of the Euclidean d-ball of radius r: c_d r^d, computed as
     c_d (r^2)^(d/2), the form the torus volume takes below radius 1/2."""
     d = as_count("d", d, 1)
-    arr = np.asarray(r, dtype=float)
+    arr = as_reals("r", r)
     if not np.all(arr >= 0):
         raise InputError("ball radius must be >= 0")
     out = _unit_ball_volume(d) * (arr * arr) ** (d / 2.0)

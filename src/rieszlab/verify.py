@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .energy import DEFAULT_QUAD_TOL, check_exponent, mean_potential, small_ball_energy
-from .errors import InputError, as_count, as_real
+from .errors import InputError, as_count, as_real, as_reals
 from .manifold import FlatTorus, Manifold, Point, Sphere, _gauss_legendre_01
 from .rng import stream
 
@@ -40,6 +40,14 @@ def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
     """Decade-friendly geometric grid; exposes r -> 0 behavior."""
     lo = as_real("lo", lo, (">", 0))
     return np.geomspace(lo, as_real("hi", hi, (">", lo)), as_count("count", count, 2))
+
+
+def _grid(radii) -> np.ndarray:
+    """A radius grid as a sorted 1-D float array of at least one radius."""
+    radii = np.sort(as_reals("radii", radii), axis=None)
+    if radii.size == 0:
+        raise InputError("radii must hold at least one radius")
+    return radii
 
 
 def _grid_descr(radii: np.ndarray) -> dict:
@@ -112,7 +120,7 @@ def check_ball_volume_flatness(m: Manifold, radii=None) -> BoundCheckReport:
     r0 = m.injectivity_radius
     if radii is None:
         radii = geometric_grid(r0 * 1e-4, r0 * 0.5, 64)
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = _grid(radii)
     if not np.all((radii > 0.0) & (radii < r0)):
         raise InputError("flatness grid must lie inside (0, injectivity radius)")
     if isinstance(m, FlatTorus):
@@ -151,7 +159,7 @@ def check_small_ball_bounds(m: Manifold, r_max: float, radii=None) -> BoundCheck
     r_max = as_real("r_max", r_max, (">", 0), ("<", m.injectivity_radius))
     if radii is None:
         radii = geometric_grid(r_max * 1e-3, r_max, 64)
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = _grid(radii)
     if not np.all((radii > 0.0) & (radii <= r_max)):
         raise InputError("grid must lie inside (0, r_max]")
     ratios = _vol_over_rd(m, radii)
@@ -182,7 +190,7 @@ def check_large_ball_bounds(m: Manifold, radii=None) -> BoundCheckReport:
     """Fit C_bot and C_top over the whole radius range (0, diameter]."""
     if radii is None:
         radii = geometric_grid(m.diameter * 1e-3, m.diameter, 64)
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = _grid(radii)
     if not np.all((radii > 0.0) & (radii <= m.diameter)):
         raise InputError("grid must lie inside (0, diameter]")
     ratios = _vol_over_rd(m, radii)
@@ -286,7 +294,7 @@ def check_small_ball_energy(m: Manifold, s: float, radii=None,
              else as_real("r_max", r_max, (">", 0), ("<", m.injectivity_radius)))
     if radii is None:
         radii = geometric_grid(r_max * 1e-3, r_max, 32)
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = _grid(radii)
     if not np.all((radii > 0.0) & (radii <= r_max)):
         raise InputError("grid must lie inside (0, r_max]")
     d = m.dim

@@ -91,3 +91,25 @@ def dense_riesz_gradient(X, s, cut_margin=1e-12):
     if m.kind.value == "sphere":
         grad -= np.sum(grad * x, axis=1)[:, None] * x
     return grad.astype(float)
+
+
+def greedy_farthest_point(m, n, seed, candidate_pool):
+    """Greedy maximin selection by rescanning the whole pool after every
+    pick, from the seeded start and pool that farthest_point_sample draws.
+
+    Returns (coords, radii): the n picks, and for each pick after the
+    start the distance sqrt(best) from it to the earlier picks, which
+    bounds the candidates its rescan can change."""
+    from rieszlab.rng import stream
+
+    rng = stream(seed, "farthest-point-sample")
+    chosen = [m._sample(rng, 1)[0]]
+    pool = m._sample(rng, candidate_pool)
+    best = m.sq_dist(chosen[0], pool)
+    radii = []
+    for _ in range(n - 1):
+        pick = int(np.argmax(best))
+        chosen.append(pool[pick].copy())
+        radii.append(float(np.sqrt(best[pick])))
+        best = np.minimum(best, m.sq_dist(pool[pick], pool))
+    return np.array(chosen), np.array(radii)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rieszlab as rl
+from rieszlab.energy import small_ball_energy
 from rieszlab.verify import geometric_grid
 
 S2 = rl.sphere(2)
@@ -97,6 +98,31 @@ def test_hostile_argument_returns_or_raises_a_rieszlab_error(row, value):
         pass
 
 
+# Radii, radius grids and exponents, each with small valid base arguments.
+RADII_TABLE = [
+    ("ball_volume", "r", lambda v: rl.ball_volume(S2, v)),
+    ("euclidean_ball_volume", "r", lambda v: rl.euclidean_ball_volume(2, v)),
+    ("ball_count", "r", lambda v: rl.ball_count(X, POLE, v)),
+    ("riesz_kernel", "r", lambda v: rl.riesz_kernel(v, 1.0)),
+    ("riesz_kernel", "s", lambda v: rl.riesz_kernel(1.0, v)),
+    ("small_ball_energy", "r", lambda v: small_ball_energy(S2, 1.0, v)),
+    ("check_ball_volume_flatness", "radii", lambda v: rl.check_ball_volume_flatness(S2, v)),
+    ("check_small_ball_bounds", "radii", lambda v: rl.check_small_ball_bounds(S2, 1.0, v)),
+    ("check_large_ball_bounds", "radii", lambda v: rl.check_large_ball_bounds(S2, v)),
+    ("check_small_ball_energy", "radii", lambda v: rl.check_small_ball_energy(T2, 1.0, v)),
+]
+
+
+@pytest.mark.parametrize("value", HOSTILE, ids=repr)
+@pytest.mark.parametrize("row", RADII_TABLE, ids=lambda row: f"{row[0]}-{row[1]}")
+def test_hostile_radius_or_exponent_returns_or_raises_a_rieszlab_error(row, value):
+    _, _, call = row
+    try:
+        call(value)
+    except rl.RieszlabError:
+        pass
+
+
 # Arguments that raised a bare exception or gave a silent wrong result
 # before the two checks of errors.py took them over.
 PROBES = [
@@ -129,6 +155,13 @@ PROBES = [
     ("pairs", lambda: rl.check_mean_potential_holder(S2, 1.0, pairs=1.5)),
     ("seed", lambda: rl.check_mean_potential_holder(S2, 1.0, seed=1.5)),
     ("ys", lambda: rl.fit_loglog([1.0, 2.0], [1.0, math.nan])),
+    # radii and exponents that are not numbers: errors.as_real, errors.as_reals
+    # and the exponent's type check took them over
+    ("r", lambda: rl.ball_count(X, POLE, "a")),
+    ("s", lambda: rl.riesz_kernel(1.0, "3")),
+    ("r", lambda: small_ball_energy(S2, 1.0, None)),
+    ("r", lambda: rl.ball_volume(S2, "a")),
+    ("radii", lambda: rl.check_small_ball_bounds(S2, 1.0, ["a"])),
 ]
 
 # Arguments whose checks already held, with the error they must keep.

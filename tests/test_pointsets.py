@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import (InputError, PointSet, discrete_energy,
+from rieszlab import (FlatTorus, InputError, PointSet, discrete_energy,
                       farthest_point_sample, fibonacci_sphere, flat_torus,
                       kronecker_torus, min_geodesic_distance,
                       minimize_riesz_energy, sample_uniform, sphere)
 from rieszlab.discrepancy import center_discrepancy
+
+from oracles import greedy_farthest_point
 
 GAMMA_HAT_FIBONACCI_1000 = 3.0931212909505437  # frozen from the brute-force scan
 
@@ -157,6 +159,21 @@ def test_farthest_point_deterministic():
     a = farthest_point_sample(m, 20, seed=5)
     b = farthest_point_sample(m, 20, seed=5)
     assert np.array_equal(a.coords, b.coords)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("m", [sphere(1), sphere(2), sphere(3),
+                               flat_torus(1), flat_torus(2), flat_torus(3)], ids=repr)
+def test_farthest_point_matches_full_rescan(m, seed):
+    expected, radii = greedy_farthest_point(m, 60, seed, 600)
+    got = farthest_point_sample(m, 60, seed, candidate_pool=600).coords
+    assert got.tobytes() == PointSet(m, expected).coords.tobytes()
+    if m == flat_torus(1):
+        # slabs narrower than the circle that wrap past 0, and past 1
+        x0, narrow = expected[1:, 0], radii < 0.5
+        assert np.any(narrow & (x0 - radii < 0.0)) and np.any(narrow & (x0 + radii > 1.0))
+    elif isinstance(m, FlatTorus):
+        assert radii[0] >= 0.5  # the first slab is the whole pool
 
 
 def test_farthest_point_pool_too_small():

@@ -1,15 +1,17 @@
 """Compute tiles: results do not depend on the tile size, and the memory
 of a pairwise pass does not grow with N."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from rieszlab import (DomainError, PointSet, discrete_energy, energy_gradient,
-                      estimate_discrepancy, fibonacci_sphere, flat_torus,
-                      kronecker_torus, min_geodesic_distance, sample_uniform,
-                      sphere)
+                      estimate_discrepancy, farthest_point_sample,
+                      fibonacci_sphere, flat_torus, kronecker_torus,
+                      min_geodesic_distance, sample_uniform, sphere)
 from rieszlab import energy
 from rieszlab.discrepancy import _tiled_pass
 from rieszlab.energy import pairwise_distances
@@ -174,3 +176,23 @@ def test_shared_gradient_pass_equals_one_margin_calls(monkeypatch, name):
             monkeypatch.setenv("RIESZ_THREADS", threads)
             shared = energy._chunked_pass(X, gradient=(0.5, margins)).gradients
             assert [_bytes(g) for g in shared] == singles
+
+
+@pytest.mark.parametrize("X", [
+    sample_uniform(sphere(2), 5, 300),
+    sample_uniform(flat_torus(2), 5, 300),
+    PointSet(sphere(2), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+], ids=["S2", "T2", "S2-antipodal"])
+def test_passes_emit_no_runtime_warning(X):
+    # the kernel and the gradient weights see the masked diagonal's zeros,
+    # and the antipodal pair's q = 4 and |y + x| = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        discrete_energy(X, 1.0)
+        sep = min_geodesic_distance(X)
+        pairwise_distances(X)
+        energy_gradient(X, 1.0)
+        _tiled_pass(X, None, 0, 1.0)
+        farthest_point_sample(X.manifold, X.n, 0)
+    if X.n == 2:
+        assert sep.min_distance == math.pi
