@@ -1,7 +1,11 @@
 """Riesz kernel, discrete and continuous energies, mean potentials.
 
-The continuous energy is reduced to a one-dimensional radial integral,
-which is exact on the homogeneous manifolds handled here.
+On the homogeneous manifolds handled here the continuous energy is the
+Stieltjes integral of r^(-s) against the ball volume V, the distance law
+that energy_via_distance_cdf uses for the discrete energy.  Past the
+injectivity radius r0 it is taken by parts, on every manifold alike:
+small_ball_energy(r0) + diam^(-s) - r0^(-s) V(r0) + s * the integral of
+r^(-s-1) V(r) from r0 to the diameter.
 
 The energy, the brute-force separation, the pairwise distances, the
 discrepancy jump values and the gradient all come from _chunked_pass, the
@@ -39,8 +43,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, InputError, as_count, as_real, as_reals
-from .manifold import (SQRT2_2, SQRT3_2, FlatTorus, Manifold, Point, Sphere,
-                       _unit_ball_volume, sum_of_squares)
+from .manifold import FlatTorus, Manifold, Point, Sphere, _unit_ball_volume, sum_of_squares
 from .parallel import chunk_ranges, map_ordered
 
 # Fixed row-chunk size for pairwise reductions.  Chunk boundaries (and
@@ -70,10 +73,10 @@ def check_exponent(s: float, d: int) -> None:
 
 
 def riesz_kernel(r, s: float):
-    """Riesz kernel r^(-s) for r > 0."""
+    """Riesz kernel r^(-s) for r > 0 and a finite s > 0."""
     _check_real(s)
-    if not (s > 0):
-        raise DomainError(f"kernel exponent must be positive, got {s}")
+    if not (0.0 < s < math.inf):
+        raise DomainError(f"kernel exponent must satisfy 0 < s < inf, got s={s}")
     arr = as_reals("r", r)
     if not np.all(arr > 0):
         raise DomainError("Riesz kernel requires a positive distance (coincident points?)")
@@ -374,55 +377,28 @@ def _sphere_radial(m: Sphere, s: float, upper: float, tol: float) -> float:
     return val / m.zonal_normalization()
 
 
-def _torus_radial(m: FlatTorus, s: float, tol: float) -> float:
-    """Integral of r^(-s) against the radial ball-volume density on T^d."""
-    from scipy import integrate
-    d = m.dim
-    # r <= 1/2: the volume density is the Euclidean one; exact.
-    head = small_ball_energy(m, s, 0.5, tol)
-    if d == 1:
-        return head
-    if d == 2:
-        # density beyond 1/2: 2r(pi - 4 acos(1/(2r))), the arc length of
-        # the distance circle inside the fundamental square
-        tail, _ = integrate.quad(
-            lambda r: r ** (-s) * 2.0 * r * (math.pi - 4.0 * math.acos(0.5 / r)),
-            0.5, SQRT2_2, epsabs=tol / 2, epsrel=1e-13)
-        return head + tail
-    if d == 3:
-        # (1/2, sqrt2/2]: density 6 pi r - 8 pi r^2 (sphere minus face caps)
-        def anti(r):
-            # at s = 2 the first term's antiderivative is the logarithm
-            first = math.log(r) if s == 2 else r ** (2 - s) / (2 - s)
-            return 6.0 * math.pi * first - 8.0 * math.pi * r ** (3 - s) / (3 - s)
-
-        mid = anti(SQRT2_2) - anti(0.5)
-        # (sqrt2/2, sqrt3/2]: integrate by parts against the exact volume,
-        # whose edge overlaps come from a fixed Gauss-Legendre rule
-        v_lo = float(m.ball_volume(SQRT2_2))
-        diam = SQRT3_2
-        boundary = diam ** (-s) * 1.0 - SQRT2_2 ** (-s) * v_lo
-        inner, _ = integrate.quad(
-            lambda r: r ** (-s - 1) * float(m.ball_volume(r)),
-            SQRT2_2, diam, epsabs=tol / 2, epsrel=1e-12, limit=100)
-        return head + mid + boundary + s * inner
-    raise InputError(f"continuous energy on the torus is only supported for d <= 3 (d={d})")
-
-
 def continuous_energy(m: Manifold, s: float, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Energy of the normalized volume measure: the double integral of the
-    kernel, reduced to a radial integral (exact under homogeneity).
+    kernel, which under homogeneity is the Stieltjes integral of r^(-s)
+    against the ball volume V.  Up to the injectivity radius r0 it is
+    small_ball_energy; beyond it, by parts,
+
+      small_ball_energy(r0) + diam^(-s) - r0^(-s) V(r0)
+        + s * integral of r^(-s-1) V(r) over (r0, diam),
+
+    the integral taken by quad between the radii where V changes formula.
 
     Absolute quadrature tolerance tol, which must be finite and > 0
     (InputError); raises DomainError for s outside (0, d).
     """
-    check_exponent(s, m.dim)
-    tol = as_real("quad_tol", tol, (">", 0))
-    if isinstance(m, Sphere):
-        return _sphere_radial(m, s, math.pi, tol)
-    if isinstance(m, FlatTorus):
-        return _torus_radial(m, s, tol)
-    raise InputError(f"unsupported manifold {m!r}")
+    from scipy import integrate
+    breaks = m._volume_breaks
+    r0, pieces = breaks[0], list(zip(breaks, breaks[1:]))
+    head = small_ball_energy(m, s, r0, tol)  # checks s and tol
+    tail = sum(integrate.quad(lambda r: r ** (-s - 1) * m.ball_volume(r), a, b,
+                              epsabs=tol / (2 * len(pieces)), epsrel=1e-13, limit=200)[0]
+               for a, b in pieces)
+    return head + (m.diameter ** -s - r0 ** -s * m.ball_volume(r0)) + s * tail
 
 
 def mean_potential(m: Manifold, x: Point, s: float, tol: float = DEFAULT_QUAD_TOL) -> float:

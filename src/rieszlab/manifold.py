@@ -259,6 +259,10 @@ class Manifold(ABC):
         """Ball volume on a 1-D array of radii, all strictly below the
         diameter."""
 
+    # The radii from the injectivity radius to the diameter at which the
+    # ball volume changes formula; continuous_energy integrates between them.
+    _volume_breaks: tuple
+
     def describe(self) -> dict:
         return {"kind": self.kind.value, "dim": self.dim}
 
@@ -342,6 +346,8 @@ class Sphere(Manifold):
         v = rng.standard_normal((n, self.ambient_dim))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
 
+    _volume_breaks = (math.pi,)
+
     def _ball_volume(self, r):
         # S^1 keeps the arc: the round trip through q loses digits near pi
         return r / math.pi if self.dim == 1 else self.volume_from_sq(4.0 * np.sin(r / 2.0) ** 2)
@@ -422,6 +428,11 @@ class FlatTorus(Manifold):
 
     def _ball_volume(self, r):
         return self.volume_from_sq(r * r)
+
+    @property
+    def _volume_breaks(self):
+        # the ball meets the faces at 1/2, the edges at sqrt(2)/2, ...
+        return tuple(math.sqrt(k) / 2.0 for k in range(1, self.dim + 1))
 
     def _large_ball_volume(self, r):
         """Ball volume for radii in (1/2, diameter)."""

@@ -42,21 +42,18 @@ def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
     return np.geomspace(lo, as_real("hi", hi, (">", lo)), as_count("count", count, 2))
 
 
-def _grid(radii) -> np.ndarray:
-    """A radius grid as a sorted 1-D float array of at least one radius."""
-    radii = np.sort(as_reals("radii", radii), axis=None)
-    if radii.size == 0:
-        raise InputError("radii must hold at least one radius")
-    return radii
-
-
-def _grid_descr(radii: np.ndarray) -> dict:
-    return {
-        "min": float(radii.min()),
-        "max": float(radii.max()),
-        "count": int(len(radii)),
-        "spacing": "geometric",
-    }
+def _grid(radii, lo: float, hi: float, count: int):
+    """A check's radius grid, sorted, with its report description: the
+    caller's radii ("given", at least one), or by default the geometric
+    grid of count radii from lo to hi."""
+    if radii is None:
+        radii, spacing = geometric_grid(lo, hi, count), "geometric"
+    else:
+        radii, spacing = np.sort(as_reals("radii", radii), axis=None), "given"
+        if radii.size == 0:
+            raise InputError("radii must hold at least one radius")
+    return radii, {"min": float(radii.min()), "max": float(radii.max()),
+                   "count": int(len(radii)), "spacing": spacing}
 
 
 # ----------------------------------------------------------------------
@@ -118,9 +115,7 @@ def check_ball_volume_flatness(m: Manifold, radii=None) -> BoundCheckReport:
     verify the ratio stays bounded as r -> 0 (the smallest decade must not
     dominate the rest of the grid)."""
     r0 = m.injectivity_radius
-    if radii is None:
-        radii = geometric_grid(r0 * 1e-4, r0 * 0.5, 64)
-    radii = _grid(radii)
+    radii, grid = _grid(radii, r0 * 1e-4, r0 * 0.5, 64)
     if not np.all((radii > 0.0) & (radii < r0)):
         raise InputError("flatness grid must lie inside (0, injectivity radius)")
     if isinstance(m, FlatTorus):
@@ -136,7 +131,7 @@ def check_ball_volume_flatness(m: Manifold, radii=None) -> BoundCheckReport:
     return BoundCheckReport(
         check="ball-volume-flatness",
         manifold=m.describe(),
-        grid=_grid_descr(radii),
+        grid=grid,
         constants={"c0": c0, "smallest_decade_max": max_small, "rest_max": max_rest},
         worst_ratio=c0,
         tolerance=2.0,
@@ -157,9 +152,7 @@ def check_small_ball_bounds(m: Manifold, r_max: float, radii=None) -> BoundCheck
     verify the ratio C_H / C_L tightens toward 1 when the cap shrinks to
     r_max / 4."""
     r_max = as_real("r_max", r_max, (">", 0), ("<", m.injectivity_radius))
-    if radii is None:
-        radii = geometric_grid(r_max * 1e-3, r_max, 64)
-    radii = _grid(radii)
+    radii, grid = _grid(radii, r_max * 1e-3, r_max, 64)
     if not np.all((radii > 0.0) & (radii <= r_max)):
         raise InputError("grid must lie inside (0, r_max]")
     ratios = _vol_over_rd(m, radii)
@@ -172,7 +165,7 @@ def check_small_ball_bounds(m: Manifold, r_max: float, radii=None) -> BoundCheck
     return BoundCheckReport(
         check="small-ball-bounds",
         manifold=m.describe(),
-        grid=_grid_descr(radii),
+        grid=grid,
         constants={
             "c_low": c_low,
             "c_high": c_high,
@@ -188,9 +181,7 @@ def check_small_ball_bounds(m: Manifold, r_max: float, radii=None) -> BoundCheck
 
 def check_large_ball_bounds(m: Manifold, radii=None) -> BoundCheckReport:
     """Fit C_bot and C_top over the whole radius range (0, diameter]."""
-    if radii is None:
-        radii = geometric_grid(m.diameter * 1e-3, m.diameter, 64)
-    radii = _grid(radii)
+    radii, grid = _grid(radii, m.diameter * 1e-3, m.diameter, 64)
     if not np.all((radii > 0.0) & (radii <= m.diameter)):
         raise InputError("grid must lie inside (0, diameter]")
     ratios = _vol_over_rd(m, radii)
@@ -199,7 +190,7 @@ def check_large_ball_bounds(m: Manifold, radii=None) -> BoundCheckReport:
     return BoundCheckReport(
         check="large-ball-bounds",
         manifold=m.describe(),
-        grid=_grid_descr(radii),
+        grid=grid,
         constants={"c_bot": c_bot, "c_top": c_top},
         worst_ratio=c_top / c_bot,
         tolerance=math.inf,
@@ -292,9 +283,7 @@ def check_small_ball_energy(m: Manifold, s: float, radii=None,
     check_exponent(s, m.dim)
     r_max = (0.5 * m.injectivity_radius if r_max is None
              else as_real("r_max", r_max, (">", 0), ("<", m.injectivity_radius)))
-    if radii is None:
-        radii = geometric_grid(r_max * 1e-3, r_max, 32)
-    radii = _grid(radii)
+    radii, grid = _grid(radii, r_max * 1e-3, r_max, 32)
     if not np.all((radii > 0.0) & (radii <= r_max)):
         raise InputError("grid must lie inside (0, r_max]")
     d = m.dim
@@ -311,7 +300,7 @@ def check_small_ball_energy(m: Manifold, s: float, radii=None,
     return BoundCheckReport(
         check="small-ball-energy",
         manifold=m.describe(),
-        grid=_grid_descr(radii),
+        grid=grid,
         constants={"c_high": c_high, "bound": bound, "max_ratio": worst},
         worst_ratio=worst,
         tolerance=tol,

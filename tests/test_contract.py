@@ -164,6 +164,13 @@ PROBES = [
     ("radii", lambda: rl.check_small_ball_bounds(S2, 1.0, ["a"])),
 ]
 
+# Exponents that gave a silent result: an infinite s, which the kernel
+# rejects with the DomainError that check_exponent raises.
+DOMAIN_PROBES = [
+    ("s", lambda: rl.riesz_kernel(0.5, math.inf)),
+    ("s", lambda: rl.riesz_kernel(2.0, math.inf)),
+]
+
 # Arguments whose checks already held, with the error they must keep.
 HELD = [
     (rl.InputError, "cases", lambda: rl.check_packing_bound(S2, cases=1.5)),
@@ -190,6 +197,14 @@ def test_bad_argument_is_an_input_error_naming_it(argument, call):
     with pytest.raises(rl.InputError) as info:
         call()
     assert type(info.value) is rl.InputError
+    assert _names(argument, info.value), str(info.value)
+
+
+@pytest.mark.parametrize("argument,call", DOMAIN_PROBES)
+def test_bad_exponent_is_a_domain_error_naming_it(argument, call):
+    with pytest.raises(rl.DomainError) as info:
+        call()
+    assert type(info.value) is rl.DomainError
     assert _names(argument, info.value), str(info.value)
 
 

@@ -142,16 +142,22 @@ def test_torus1_energy_closed_form():
     assert got == pytest.approx(oracle, abs=1e-9)
 
 
-@pytest.mark.parametrize("d,s", [(1, 0.25), (1, 0.5), (3, 0.5), (3, 1.5), (3, 2.0), (3, 2.5)])
+@pytest.mark.parametrize("d,s", [(1, 0.25), (1, 0.5), (2, 0.5), (2, 1.0), (2, 1.5),
+                                 (3, 0.5), (3, 1.0), (3, 1.5), (3, 2.0), (3, 2.5)])
 def test_torus_energy_matches_mpmath(d, s):
     # independent reference: on T^1, 2 * the integral of x^-s over (0, 1/2);
-    # on T^3, the cube [-1/2, 1/2]^3 is 48 copies of 0 <= z <= y <= x <= 1/2,
-    # and y = x u, z = x u v split off the singular radial factor x^(2-s)
+    # on T^2, the square [-1/2, 1/2]^2 is 8 copies of 0 <= y <= x <= 1/2, and
+    # y = x u splits off the singular radial factor x^(1-s); on T^3, the cube
+    # is 48 copies of 0 <= z <= y <= x <= 1/2, and y = x u, z = x u v split
+    # off x^(2-s)
     import mpmath
     with mpmath.workdps(30):
         s_, half = mpmath.mpf(s), mpmath.mpf(1) / 2
         if d == 1:
             exact = 2 * mpmath.quad(lambda x: x ** -s_, [0, half])
+        elif d == 2:
+            exact = 8 * half ** (2 - s_) / (2 - s_) * mpmath.quad(
+                lambda u: (1 + u * u) ** (-s_ / 2), [0, 1])
         else:
             exact = 48 * half ** (3 - s_) / (3 - s_) * mpmath.quad(
                 lambda u, v: u * (1 + u * u + u * u * v * v) ** (-s_ / 2), [0, 1], [0, 1])

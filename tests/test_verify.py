@@ -131,6 +131,20 @@ def test_small_ball_degenerate_grid():
     assert rep.constants["c_low"] == rep.constants["c_high"]
 
 
+@pytest.mark.parametrize("check,r_top", [
+    (lambda m, radii: check_ball_volume_flatness(m, radii), 3.0),
+    (lambda m, radii: check_small_ball_bounds(m, 3.0, radii), 3.0),
+    (lambda m, radii: check_large_ball_bounds(m, radii), math.pi),
+    (lambda m, radii: check_small_ball_energy(m, 1.0, radii, r_max=3.0), 3.0),
+], ids=["flatness", "small-ball", "large-ball", "small-ball-energy"])
+def test_grid_spacing_is_geometric_only_for_the_default_grid(check, r_top):
+    m = sphere(2)
+    default = check(m, None).grid
+    assert default["spacing"] == "geometric" and default["count"] > 3
+    given = check(m, [r_top, 0.1, 0.2]).grid
+    assert given == {"min": 0.1, "max": r_top, "count": 3, "spacing": "given"}
+
+
 def test_small_ball_grid_validation():
     with pytest.raises(InputError):
         check_small_ball_bounds(sphere(2), 4.0)
