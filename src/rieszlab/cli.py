@@ -22,7 +22,7 @@ from .discrepancy import estimate_discrepancy
 from .energy import DEFAULT_QUAD_TOL, energy_report
 from .errors import DomainError, InputError
 from .experiment import RateExperimentConfig, geometric_schedule, run_rate_experiment
-from .manifold import Manifold, make_manifold
+from .manifold import make_manifold
 from .pointsets import GENERATORS, PointSet, generate_pointset, min_geodesic_distance
 from .verify import run_all_checks
 
@@ -102,18 +102,11 @@ def parse_pointset(text: str) -> PointSet:
     if header.get("seed", "") not in ("", "None"):
         prov["seed"] = _number("seed", header["seed"], int)
     X = PointSet(m, coords, provenance=prov)  # size and finiteness before the drift
-    _warn_on_drift(m, coords)
-    return X
-
-
-def _warn_on_drift(m: Manifold, coords: np.ndarray) -> None:
-    if m.kind.value == "sphere":
-        drift = np.abs(np.linalg.norm(coords, axis=1) - 1.0).max()
-    else:
-        drift = max(0.0, float(np.max(coords - 1.0)), float(np.max(-coords)))
+    drift = m._drift(coords)
     if drift > 1e-9:
         print(f"warning: point coordinates off the manifold by {drift:.3g}; "
               "renormalizing", file=sys.stderr)
+    return X
 
 
 def load_pointset(path: str) -> PointSet:

@@ -34,7 +34,6 @@ call, so results agree bit for bit for any number of threads.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections import namedtuple
@@ -43,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, InputError, as_count, as_real, as_reals
-from .manifold import FlatTorus, Manifold, Point, Sphere, _unit_ball_volume, sum_of_squares
+from .manifold import Manifold, Point, sum_of_squares
 from .parallel import chunk_ranges, map_ordered
 
 # Fixed row-chunk size for pairwise reductions.  Chunk boundaries (and
@@ -139,26 +138,17 @@ def _tile_gradient(m, s, margins, x, y, deltas, Q, upper, buffers):
     terms go into the rows after it and are added to row 0 in row order.
 
     Each pair i < j is computed once.  It counts for a margin unless its
-    distance (on the torus, any axis delta) lies within the margin of the
-    cut locus.  Its distance and weight w are computed once; each margin
-    then masks w.  Q and w are symmetric in the pair and the deltas
-    antisymmetric, so the term w * delta of row i is, negated, the term of
-    row j: the row sums take it with a plus sign, the column sums with a
-    minus sign once the chunk is done.
+    reach (Manifold._log_lengths) lies within the margin of the cut locus.
+    Its distance and weight w are computed once; each margin then masks w.
+    Q and w are symmetric in the pair and the deltas antisymmetric, so the
+    term w * delta of row i is, negated, the term of row j: the row sums
+    take it with a plus sign, the column sums with a minus sign once the
+    chunk is done.
     """
     # log_x(y) has length dist along u, the tangent part of y - x; the
-    # sphere's final projection removes the x-part of y - x
+    # final projection (Manifold._project_tangent) removes the rest of y - x
     with np.errstate(divide="ignore", invalid="ignore"):  # off live pairs
-        if isinstance(m, Sphere):
-            # dist = 2 atan(|y - x| / |y + x|) and |u| = sin(dist) =
-            # |y - x| |y + x| / 2 keep their digits up to the antipode, where
-            # |y + x|^2 = 4 - Q would not: there it is 0, the distance pi
-            plus = sum_of_squares(y[k] + x[:, k, None] for k in range(len(y)))
-            reach = dist = 2.0 * np.arctan(np.sqrt(Q / plus))
-            u_norm = np.sqrt(Q * plus) / 2.0
-        else:
-            reach = functools.reduce(np.maximum, [np.abs(dk) for dk in deltas])
-            dist = u_norm = m.dist_from_sq(Q)
+        reach, dist, u_norm = m._log_lengths(x, y, deltas, Q)
         cuts = [m.injectivity_radius * (1.0 - c) for c in margins]
         # the smallest margin cuts furthest out: its pairs count for any margin
         live = reach < max(cuts)
@@ -355,28 +345,6 @@ def pairwise_distances(X) -> np.ndarray:
 # continuous (radial) integrals
 # ----------------------------------------------------------------------
 
-def _sphere_radial(m: Sphere, s: float, upper: float, tol: float) -> float:
-    """(1/Z_d) * integral of t^(-s) sin^(d-1) t over (0, upper).
-
-    The substitution t = u^(1/(d-s)) flattens the endpoint singularity:
-    the transformed integrand is p * (sin t / t)^(d-1), smooth on the
-    whole range.
-    """
-    from scipy import integrate
-    d = m.dim
-    p = 1.0 / (d - s)
-
-    def integrand(u):
-        if u <= 0.0:
-            return p
-        t = u ** p
-        return p * (math.sin(t) / t) ** (d - 1)
-
-    top = upper ** (d - s)
-    val, _ = integrate.quad(integrand, 0.0, top, epsabs=tol, epsrel=1e-13, limit=200)
-    return val / m.zonal_normalization()
-
-
 def continuous_energy(m: Manifold, s: float, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Energy of the normalized volume measure: the double integral of the
     kernel, which under homogeneity is the Stieltjes integral of r^(-s)
@@ -386,7 +354,8 @@ def continuous_energy(m: Manifold, s: float, tol: float = DEFAULT_QUAD_TOL) -> f
       small_ball_energy(r0) + diam^(-s) - r0^(-s) V(r0)
         + s * integral of r^(-s-1) V(r) over (r0, diam),
 
-    the integral taken by quad between the radii where V changes formula.
+    the integral taken by quad between the radii where V changes formula,
+    inside each piece only: V comes from the unchecked Manifold._ball_volume.
 
     Absolute quadrature tolerance tol, which must be finite and > 0
     (InputError); raises DomainError for s outside (0, d).
@@ -395,7 +364,7 @@ def continuous_energy(m: Manifold, s: float, tol: float = DEFAULT_QUAD_TOL) -> f
     breaks = m._volume_breaks
     r0, pieces = breaks[0], list(zip(breaks, breaks[1:]))
     head = small_ball_energy(m, s, r0, tol)  # checks s and tol
-    tail = sum(integrate.quad(lambda r: r ** (-s - 1) * m.ball_volume(r), a, b,
+    tail = sum(integrate.quad(lambda r: r ** (-s - 1) * m._ball_volume(r), a, b,
                               epsabs=tol / (2 * len(pieces)), epsrel=1e-13, limit=200)[0]
                for a, b in pieces)
     return head + (m.diameter ** -s - r0 ** -s * m.ball_volume(r0)) + s * tail
@@ -415,20 +384,13 @@ def mean_potential(m: Manifold, x: Point, s: float, tol: float = DEFAULT_QUAD_TO
 def small_ball_energy(m: Manifold, s: float, r: float, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Integral of t^(-s) against the radial volume density over (0, r).
 
-    Supported for radii below the injectivity radius (where the torus
-    density is exactly Euclidean).  tol is checked as by continuous_energy.
+    Supported for radii below the injectivity radius, where the manifold
+    gives the density (Manifold._small_ball_energy).  tol is checked as by
+    continuous_energy.
     """
     check_exponent(s, m.dim)
-    tol = as_real("quad_tol", tol, (">", 0))
-    r = as_real("r", r, (">", 0))
-    if isinstance(m, Sphere):
-        return _sphere_radial(m, s, min(r, math.pi), tol)
-    if isinstance(m, FlatTorus):
-        if r > 0.5:
-            raise InputError("torus small-ball energy requires r <= 1/2")
-        d = m.dim
-        return float(d * _unit_ball_volume(d) * r ** (d - s) / (d - s))
-    raise InputError(f"unsupported manifold {m!r}")
+    tol = as_real("tol", tol, (">", 0))
+    return m._small_ball_energy(s, as_real("r", r, (">", 0)), tol)
 
 
 # ----------------------------------------------------------------------

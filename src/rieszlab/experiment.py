@@ -24,7 +24,7 @@ import numpy as np
 
 from .discrepancy import _tiled_pass
 from .energy import DEFAULT_QUAD_TOL, check_exponent, continuous_energy
-from .errors import DomainError, InputError, as_count
+from .errors import DomainError, InputError, as_count, as_real
 from .manifold import Manifold
 from .pointsets import generate_pointset
 from .verify import energy_rate_exponent
@@ -58,6 +58,7 @@ class RateExperimentConfig:
             raise InputError("schedule must be strictly increasing")
         as_count("extra_centers", self.extra_centers, 0)
         as_count("seed", self.seed, 0)
+        as_real("quad_tol", self.quad_tol, (">", 0))
 
     def describe(self) -> dict:
         return {

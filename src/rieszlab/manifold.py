@@ -9,6 +9,11 @@ Every pairwise distance comes from one elementwise kernel, sq_dist: the
 squared chord |x - y|^2 on the sphere, the squared nearest-image distance
 on the torus.  No BLAS call sets its bits.  dist_from_sq and
 volume_from_sq map it to distances and ball volumes.
+
+Each formula that differs between the sphere and the torus lives in its
+class: the ball volume, the small-ball energy, the log map and its
+lengths, the flatness defect, the axis-0 scan window, the drift of raw
+coordinates.  Other modules call methods and never branch on the type.
 """
 
 from __future__ import annotations
@@ -152,11 +157,9 @@ class Manifold(ABC):
         return TangentVector(base, self._project_tangent(base.coords, comp))
 
     def origin(self) -> Point:
-        """A fixed reference point (pole of the sphere, corner of the torus)."""
-        c = np.zeros(self.ambient_dim)
-        if self.kind is ManifoldKind.SPHERE:
-            c[0] = 1.0
-        return Point(c)
+        """A fixed reference point: the first unit vector put on the manifold
+        (the pole of the sphere, the corner of the torus)."""
+        return Point(self._normalize(np.eye(1, self.ambient_dim))[0])
 
     # -- geometry ----------------------------------------------------------
 
@@ -255,13 +258,41 @@ class Manifold(ABC):
         ...
 
     @abstractmethod
-    def _ball_volume(self, r: np.ndarray) -> np.ndarray:
-        """Ball volume on a 1-D array of radii, all strictly below the
-        diameter."""
+    def _ball_volume(self, r):
+        """Ball volume at a radius or a 1-D array of radii, all strictly
+        below the diameter; unchecked."""
 
     # The radii from the injectivity radius to the diameter at which the
     # ball volume changes formula; continuous_energy integrates between them.
     _volume_breaks: tuple
+
+    @abstractmethod
+    def _small_ball_energy(self, s: float, r: float, tol: float) -> float:
+        """energy.small_ball_energy with s, r and tol checked."""
+
+    @abstractmethod
+    def _log_lengths(self, x, y, deltas, Q):
+        """(reach, dist, |u|) of the pairs of rows x and columns y, with axis
+        deltas deltas and sq_dist Q: what a cut margin is measured on, the
+        distance, and the length of u, the tangent part of y - x."""
+
+    @abstractmethod
+    def _flatness_defect(self, radii: np.ndarray) -> np.ndarray:
+        """|vol(B(r)) / V_d(r) - 1| / r^2, V_d the Euclidean ball volume."""
+
+    # translates of an axis-0 window that the metric identifies with it
+    _axis0_shifts = np.array([0.0])
+
+    def _axis0_ranges(self, axis0, center, reach):
+        """[start, stop) ranges of the sorted axis-0 coordinates axis0 that
+        lie within reach of center."""
+        starts = np.searchsorted(axis0, center - reach + self._axis0_shifts, "left")
+        stops = np.searchsorted(axis0, center + reach + self._axis0_shifts, "right")
+        return [(a, b) for a, b in zip(starts, stops) if a < b]
+
+    @abstractmethod
+    def _drift(self, coords: np.ndarray) -> float:
+        """How far the raw rows of coords lie off the manifold."""
 
     def describe(self) -> dict:
         return {"kind": self.kind.value, "dim": self.dim}
@@ -298,12 +329,6 @@ class Sphere(Manifold):
         from scipy import special
         d = self.dim
         return 2.0 * math.pi ** ((d + 1) / 2.0) / special.gamma((d + 1) / 2.0)
-
-    def zonal_normalization(self) -> float:
-        """Integral of sin^(d-1) t over (0, pi)."""
-        from scipy import special
-        d = self.dim
-        return math.sqrt(math.pi) * special.gamma(d / 2.0) / special.gamma((d + 1) / 2.0)
 
     def _normalize(self, coords):
         norms = np.linalg.norm(coords, axis=1)
@@ -346,6 +371,17 @@ class Sphere(Manifold):
         v = rng.standard_normal((n, self.ambient_dim))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
 
+    def _drift(self, coords):
+        return np.abs(np.linalg.norm(coords, axis=1) - 1.0).max()
+
+    def _log_lengths(self, x, y, deltas, Q):
+        # dist = 2 atan(|y - x| / |y + x|) and |u| = sin(dist) =
+        # |y - x| |y + x| / 2 keep their digits up to the antipode, where
+        # |y + x|^2 = 4 - Q would not: there it is 0, the distance pi
+        plus = sum_of_squares(y[k] + x[:, k, None] for k in range(len(y)))
+        dist = 2.0 * np.arctan(np.sqrt(Q / plus))
+        return dist, dist, np.sqrt(Q * plus) / 2.0
+
     _volume_breaks = (math.pi,)
 
     def _ball_volume(self, r):
@@ -362,6 +398,54 @@ class Sphere(Manifold):
             return x
         from scipy import special
         return special.betainc(self.dim / 2.0, self.dim / 2.0, x)
+
+    def _small_ball_energy(self, s, r, tol):
+        """(1/Z_d) * integral of t^(-s) sin^(d-1) t over (0, min(r, pi)),
+        Z_d = sqrt(pi) Gamma(d/2) / Gamma((d+1)/2) its integral over (0, pi).
+        The substitution t = u^(1/(d-s)) flattens the endpoint singularity:
+        the integrand p * (sin t / t)^(d-1) is smooth on the whole range."""
+        from scipy import integrate, special
+        d = self.dim
+        p = 1.0 / (d - s)
+
+        def integrand(u):
+            if u <= 0.0:
+                return p
+            t = u ** p
+            return p * (math.sin(t) / t) ** (d - 1)
+
+        top = min(r, math.pi) ** (d - s)
+        val, _ = integrate.quad(integrand, 0.0, top, epsabs=tol, epsrel=1e-13, limit=200)
+        return val / (math.sqrt(math.pi) * special.gamma(d / 2.0) / special.gamma((d + 1) / 2.0))
+
+    def _flatness_defect(self, radii):
+        # 0 on S^1, where arcs have exactly Euclidean length
+        d = self.dim
+        if d == 2:
+            # 2(1-cos r)/r^2 = (sin(r/2) / (r/2))^2, stable for tiny r
+            u = radii / 2.0
+            sinc = np.sin(u) / u
+            return (1.0 - sinc * sinc) / (radii * radii)
+
+        def log_sinc(t):
+            # log(sin t / t) without cancellation: sin t / t is the product of
+            # cos(t / 2^k) for k = 1..6 and sin y / y at y = t / 64, with
+            # log cos a = log1p(-2 sin^2(a / 2)) and a Taylor series for y
+            y2 = (t / 64.0) ** 2
+            total = -y2 * (1.0 / 6.0 + y2 * (1.0 / 180.0 + y2 * (1.0 / 2835.0 + y2 / 37800.0)))
+            for k in range(2, 8):
+                h = np.sin(t / 2.0 ** k)
+                total = total + np.log1p(-2.0 * h * h)
+            return total
+
+        def difference(v):
+            # (sin^(d-1) t - t^(d-1)) / r^(d-1) at t = r v
+            t = radii * v
+            return v ** (d - 1) * np.expm1((d - 1) * log_sinc(t))
+
+        # |vol / V_d - 1| / r^2 with vol / V_d = d / r^d times the integral of
+        # sin^(d-1) over (0, r), scaled to t = r v on v in (0, 1)
+        return np.abs(d * _gauss_legendre_01(difference)) / (radii * radii)
 
 
 class FlatTorus(Manifold):
@@ -425,6 +509,28 @@ class FlatTorus(Manifold):
 
     def _sample(self, rng, n):
         return rng.random((n, self.dim))
+
+    def _drift(self, coords):
+        return max(0.0, float(np.max(coords - 1.0)), float(np.max(-coords)))
+
+    def _log_lengths(self, x, y, deltas, Q):
+        # a margin is measured on the largest axis delta
+        dist = self.dist_from_sq(Q)
+        return functools.reduce(np.maximum, [np.abs(dk) for dk in deltas]), dist, dist
+
+    # the window's translates by -1 and +1 catch its wrap past 0 and 1, for
+    # any reach; ranges that overlap are harmless, the caller takes a minimum
+    _axis0_shifts = np.array([-1.0, 0.0, 1.0])
+
+    def _flatness_defect(self, radii):
+        return np.zeros_like(radii)  # exactly Euclidean below r = 1/2
+
+    def _small_ball_energy(self, s, r, tol):
+        # below the injectivity radius the density is Euclidean, d c_d t^(d-1)
+        if r > 0.5:
+            raise InputError("torus small-ball energy requires r <= 1/2")
+        d = self.dim
+        return float(d * _unit_ball_volume(d) * r ** (d - s) / (d - s))
 
     def _ball_volume(self, r):
         return self.volume_from_sq(r * r)

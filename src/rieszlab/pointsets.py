@@ -179,19 +179,6 @@ def kronecker_torus(d: int, n: int) -> PointSet:
     return PointSet(m, coords, provenance={"generator": "kronecker", "d": m.dim, "n": n})
 
 
-def _slab(axis0, center, reach, wrap):
-    """[start, stop) ranges of the sorted coordinates axis0 that lie within
-    reach of center, modulo 1 when wrap (the torus)."""
-    if wrap and reach >= 0.5:
-        return [(0, len(axis0))]
-    # on the torus the window's translates by -1 and +1 catch its wrap past
-    # 0 and 1; ranges that overlap are harmless, the update is a minimum
-    shifts = np.array([-1.0, 0.0, 1.0] if wrap else [0.0])
-    starts = np.searchsorted(axis0, center - reach + shifts, "left")
-    stops = np.searchsorted(axis0, center + reach + shifts, "right")
-    return [(a, b) for a, b in zip(starts, stops) if a < b]
-
-
 def farthest_point_sample(m: Manifold, n: int, seed: int, candidate_pool: int | None = None) -> PointSet:
     """Greedy maximin selection from a seeded uniform candidate pool.
 
@@ -216,14 +203,13 @@ def farthest_point_sample(m: Manifold, n: int, seed: int, candidate_pool: int | 
         best = m.sq_dist(start, pool)
         order = np.argsort(pool[:, 0], kind="stable")
         cols = pool[order].T.copy()  # sorted by axis 0, each axis contiguous
-        wrap = isinstance(m, FlatTorus)
         for _ in range(n - 1):
             pick = int(np.argmax(best))
             chosen.append(pool[pick].copy())
             # beyond reach the axis-0 delta alone squares above best[pick];
             # the slack covers the rounding of the bounds and of the deltas
             reach = math.sqrt(best[pick]) * (1.0 + 1e-9) + 1e-15
-            for a, b in _slab(cols[0], pool[pick, 0], reach, wrap):
+            for a, b in m._axis0_ranges(cols[0], pool[pick, 0], reach):
                 near = order[a:b]
                 best[near] = np.minimum(best[near], m.sq_dist(pool[pick], cols[:, a:b].T))
     return PointSet(m, np.array(chosen), provenance={

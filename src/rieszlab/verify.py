@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import DEFAULT_QUAD_TOL, check_exponent, mean_potential, small_ball_energy
 from .errors import InputError, as_count, as_real, as_reals
-from .manifold import FlatTorus, Manifold, Point, Sphere, _gauss_legendre_01
+from .manifold import Manifold, Point
 from .rng import stream
 
 
@@ -78,38 +78,6 @@ def energy_rate_exponent(d: int, s: float) -> float:
 # injectivity radius
 # ----------------------------------------------------------------------
 
-def _sphere_flatness_defect(m: Sphere, radii: np.ndarray) -> np.ndarray:
-    d = m.dim
-    if d == 1:
-        # arcs have exactly Euclidean length
-        return np.zeros_like(radii)
-    if d == 2:
-        # 2(1-cos r)/r^2 = (sin(r/2) / (r/2))^2, stable for tiny r
-        u = radii / 2.0
-        sinc = np.sin(u) / u
-        return (1.0 - sinc * sinc) / (radii * radii)
-
-    def log_sinc(t):
-        # log(sin t / t) without cancellation: sin t / t is the product of
-        # cos(t / 2^k) for k = 1..6 and sin y / y at y = t / 64, with
-        # log cos a = log1p(-2 sin^2(a / 2)) and a Taylor series for y
-        y2 = (t / 64.0) ** 2
-        total = -y2 * (1.0 / 6.0 + y2 * (1.0 / 180.0 + y2 * (1.0 / 2835.0 + y2 / 37800.0)))
-        for k in range(2, 8):
-            h = np.sin(t / 2.0 ** k)
-            total = total + np.log1p(-2.0 * h * h)
-        return total
-
-    def difference(v):
-        # (sin^(d-1) t - t^(d-1)) / r^(d-1) at t = r v
-        t = radii * v
-        return v ** (d - 1) * np.expm1((d - 1) * log_sinc(t))
-
-    # |vol / V_d - 1| / r^2 with vol / V_d = d / r^d times the integral of
-    # sin^(d-1) over (0, r), scaled to t = r v on v in (0, 1)
-    return np.abs(d * _gauss_legendre_01(difference)) / (radii * radii)
-
-
 def check_ball_volume_flatness(m: Manifold, radii=None) -> BoundCheckReport:
     """Fit C0 = max over the grid of |vol(B(r)) / V_d(r) - 1| / r^2 and
     verify the ratio stays bounded as r -> 0 (the smallest decade must not
@@ -118,10 +86,7 @@ def check_ball_volume_flatness(m: Manifold, radii=None) -> BoundCheckReport:
     radii, grid = _grid(radii, r0 * 1e-4, r0 * 0.5, 64)
     if not np.all((radii > 0.0) & (radii < r0)):
         raise InputError("flatness grid must lie inside (0, injectivity radius)")
-    if isinstance(m, FlatTorus):
-        defect = np.zeros_like(radii)  # exactly Euclidean below r = 1/2
-    else:
-        defect = _sphere_flatness_defect(m, radii)
+    defect = m._flatness_defect(radii)
     c0 = float(defect.max())
     small = radii < 10.0 * radii[0]
     max_small = float(defect[small].max()) if np.any(small) else 0.0

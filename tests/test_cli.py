@@ -75,12 +75,23 @@ def test_malformed_coordinate_rows_exit_one(tmp_path, capsys, rows, message):
     assert err == message + "\n"  # no traceback, no drift warning first
 
 
-def test_load_warns_on_drift(capsys):
-    text = "# manifold=sphere dim=2\n# n=1\n1.000001 0 0\n"
+@pytest.mark.parametrize("header,rows,drift", [
+    ("sphere dim=2", ["1.000001 0 0"], "1e-06"),
+    ("sphere dim=2", ["0 0.6 0.8", "0 0 1"], None),
+    ("flat-torus dim=2", ["0.5 0.25", "1.25 0.5"], "0.25"),
+    ("flat-torus dim=2", ["-0.125 0.5"], "0.125"),
+    ("flat-torus dim=2", ["0 0.5", "0.999 0.25"], None),
+])
+def test_load_warns_on_drift(capsys, header, rows, drift):
+    text = f"# manifold={header}\n# n={len(rows)}\n" + "".join(row + "\n" for row in rows)
     X = parse_pointset(text)
     err = capsys.readouterr().err
-    assert "warning" in err
-    assert np.linalg.norm(X.coords[0]) == pytest.approx(1.0, abs=1e-12)
+    assert err == ("" if drift is None else
+                   f"warning: point coordinates off the manifold by {drift}; renormalizing\n")
+    if X.manifold.kind.value == "sphere":
+        assert np.linalg.norm(X.coords, axis=1) == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert np.all((X.coords >= 0.0) & (X.coords < 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +222,7 @@ def test_energy_out_of_range_tol_exits_one(tmp_path, capsys, tol):
     code, out, err = run_cli(["energy", "--in", pts, "--s", "1", "--tol", tol], capsys)
     assert code == 1
     assert out == ""
-    assert "error: quad_tol must be finite and > 0" in err
+    assert "error: tol must be finite and > 0" in err
 
 
 def test_generate_negative_seed_exits_one(tmp_path, capsys):

@@ -177,7 +177,7 @@ HELD = [
     (rl.InputError, "pool_size", lambda: rl.packing_number(S2, POLE, 1.0, 0.5, 0, 1.5)),
     (rl.InputError, "seed", lambda: rl.sample_uniform(S2, -1, 4)),
     (rl.InputError, "n", lambda: rl.fibonacci_sphere(0)),
-    (rl.InputError, "quad_tol", lambda: rl.continuous_energy(S2, 1.0, math.nan)),
+    (rl.InputError, "tol", lambda: rl.continuous_energy(S2, 1.0, math.nan)),
     (rl.InputError, "cut_margin", lambda: rl.energy_gradient(X, 1.0, math.nan)),
     (rl.InputError, "extra_centers", lambda: rl.estimate_discrepancy(X, -1)),
     (rl.InputError, "n_min", lambda: rl.geometric_schedule(1, 10)),
@@ -217,7 +217,7 @@ def test_checks_that_held_keep_their_error(error, argument, call):
 
 
 def test_real_too_large_for_a_float_is_an_input_error():
-    with pytest.raises(rl.InputError, match="quad_tol must be finite and > 0"):
+    with pytest.raises(rl.InputError, match="^tol must be finite and > 0"):
         rl.continuous_energy(S2, 1.0, 10 ** 400)
 
 

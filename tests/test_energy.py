@@ -166,6 +166,32 @@ def test_torus_energy_matches_mpmath(d, s):
     assert continuous_energy(flat_torus(d), s, 1e-13) == pytest.approx(float(exact), rel=rel, abs=0)
 
 
+SMALL_BALL_CASES = [(kind, d, r, s)
+                    for kind, dims, radii in (("sphere", (1, 2, 3, 4), (0.05, 0.5, 2.0)),
+                                              ("torus", (2, 3), (0.05, 0.5)))
+                    for d in dims for r in radii for s in (0.5, 1.0, 1.5) if s < d]
+
+
+@pytest.mark.parametrize("kind,d,r,s", SMALL_BALL_CASES)
+def test_small_ball_energy_matches_mpmath(kind, d, r, s):
+    # independent reference: 30-digit quadrature of t^-s against the radial
+    # density below the injectivity radius, sin^(d-1) t over its integral on
+    # (0, pi) on S^d, and d c_d t^(d-1) on T^d.  The absolute tolerance is
+    # far below the smallest value, so quad's relative one governs.
+    import mpmath
+    with mpmath.workdps(30):
+        s_, r_ = mpmath.mpf(s), mpmath.mpf(r)
+        if kind == "sphere":
+            m = sphere(d)
+            exact = (mpmath.quad(lambda t: t ** -s_ * mpmath.sin(t) ** (d - 1), [0, r_])
+                     / mpmath.quad(lambda t: mpmath.sin(t) ** (d - 1), [0, mpmath.pi]))
+        else:
+            m = flat_torus(d)
+            c_d = mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
+            exact = d * c_d * mpmath.quad(lambda t: t ** (d - 1 - s_), [0, r_])
+    assert small_ball_energy(m, s, r, 1e-20) == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
 def test_sphere2_energy_sine_integral():
     got = continuous_energy(sphere(2), 1.0)
     assert got == pytest.approx(special.sici(math.pi)[0] / 2.0, abs=1e-9)
@@ -206,7 +232,7 @@ def test_out_of_range_tol_rejected(tol):
     for run in (lambda: continuous_energy(sphere(2), 1.0, tol),
                 lambda: small_ball_energy(sphere(2), 1.0, 0.1, tol),
                 lambda: small_ball_energy(flat_torus(2), 1.0, 0.1, tol)):
-        with pytest.raises(InputError, match="quad_tol must be finite and > 0"):
+        with pytest.raises(InputError, match="^tol must be finite and > 0"):
             run()
 
 

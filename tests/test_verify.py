@@ -10,7 +10,7 @@ from rieszlab import (DomainError, InputError, check_ball_volume_flatness,
                       check_small_ball_energy, energy_rate_exponent,
                       flat_torus, holder_exponent, packing_number, sphere)
 from rieszlab.rng import stream
-from rieszlab.verify import _sphere_flatness_defect, geometric_grid
+from rieszlab.verify import geometric_grid
 
 
 # ----------------------------------------------------------------------
@@ -77,13 +77,13 @@ def test_sphere_flatness_defect_matches_mpmath(d):
             r = mpmath.mpf(float(r))
             diff = mpmath.quad(lambda v: (mpmath.sin(r * v) / r) ** (d - 1) - v ** (d - 1), [0, 1])
             exact.append(float(d * abs(diff) / r ** 2))
-    assert _sphere_flatness_defect(sphere(d), radii) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert sphere(d)._flatness_defect(radii) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_sphere_flatness_defect_independent_of_batch():
     radii = geometric_grid(1e-5, 3.0, 37)
-    batch = _sphere_flatness_defect(sphere(3), radii)
-    alone = np.concatenate([_sphere_flatness_defect(sphere(3), radii[i:i + 1])
+    batch = sphere(3)._flatness_defect(radii)
+    alone = np.concatenate([sphere(3)._flatness_defect(radii[i:i + 1])
                             for i in range(len(radii))])
     assert batch.tobytes() == alone.tobytes()
 
