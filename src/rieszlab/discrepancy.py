@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .energy import _chunked_pass, _jump_values
-from .errors import InputError, as_count, as_real
+from .errors import as_count, as_real
 from .manifold import Point, _as_vector
 from .pointsets import _separation_report
 from .rng import stream

@@ -167,29 +167,35 @@ def test_torus_energy_matches_mpmath(d, s):
 
 
 SMALL_BALL_CASES = [(kind, d, r, s)
-                    for kind, dims, radii in (("sphere", (1, 2, 3, 4), (0.05, 0.5, 2.0)),
-                                              ("torus", (2, 3), (0.05, 0.5)))
-                    for d in dims for r in radii for s in (0.5, 1.0, 1.5) if s < d]
+                    for kind, dims, radii in (("sphere", (1, 2, 3, 4), (1e-3, 0.05, 0.5, 2.0)),
+                                              ("torus", (2, 3), (1e-3, 0.05, 0.5)))
+                    for d in dims for r in radii
+                    for s in sorted({0.5, 1.0, 1.5, d - 0.25}) if s < d]
 
 
 @pytest.mark.parametrize("kind,d,r,s", SMALL_BALL_CASES)
 def test_small_ball_energy_matches_mpmath(kind, d, r, s):
     # independent reference: 30-digit quadrature of t^-s against the radial
     # density below the injectivity radius, sin^(d-1) t over its integral on
-    # (0, pi) on S^d, and d c_d t^(d-1) on T^d.  The absolute tolerance is
-    # far below the smallest value, so quad's relative one governs.
+    # (0, pi) on S^d, and d c_d t^(d-1) on T^d.  The substitution u = t^(d-s)
+    # takes t^(d-1-s) out of the integrand: for s near d, plain mpmath.quad
+    # of t^-s sin^(d-1) t is 3e-9 off at r = pi.  The rule is fixed, so the
+    # default tol and a tiny one give the same value.
     import mpmath
     with mpmath.workdps(30):
         s_, r_ = mpmath.mpf(s), mpmath.mpf(r)
+        p = 1 / (d - s_)
         if kind == "sphere":
             m = sphere(d)
-            exact = (mpmath.quad(lambda t: t ** -s_ * mpmath.sin(t) ** (d - 1), [0, r_])
-                     / mpmath.quad(lambda t: mpmath.sin(t) ** (d - 1), [0, mpmath.pi]))
+            scale = 1 / mpmath.quad(lambda t: mpmath.sin(t) ** (d - 1), [0, mpmath.pi])
+            ratio = lambda t: (mpmath.sin(t) / t) ** (d - 1) if t > 0 else 1  # noqa: E731
         else:
             m = flat_torus(d)
-            c_d = mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
-            exact = d * c_d * mpmath.quad(lambda t: t ** (d - 1 - s_), [0, r_])
-    assert small_ball_energy(m, s, r, 1e-20) == pytest.approx(float(exact), rel=1e-12, abs=0)
+            scale = d * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
+            ratio = lambda t: 1  # noqa: E731
+        exact = scale * p * mpmath.quad(lambda u: ratio(u ** p), [0, r_ ** (d - s_)])
+    for tol in (energy.DEFAULT_QUAD_TOL, 1e-20):
+        assert small_ball_energy(m, s, r, tol) == pytest.approx(float(exact), rel=1e-13, abs=0)
 
 
 def test_sphere2_energy_sine_integral():

@@ -1,8 +1,10 @@
 """Property tests of the ball volume (on T^3, the one torus volume that
 needs a quadrature, the edge overlaps beyond r = sqrt(2)/2, and on S^1-S^3,
 T^1 and T^2), of the energy gradient, the energy and the separation under a
-permutation of the points, and of the symmetry of the axis deltas and the
-squared distances."""
+permutation of the points, of the symmetry of the axis deltas and the
+squared distances, and of the small-ball energy on S^1-S^5, T^2 and T^3."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from rieszlab import (PointSet, ball_volume, discrete_energy, energy_gradient, flat_torus,
                       kronecker_torus, min_geodesic_distance, sample_uniform, sphere)
+from rieszlab.energy import small_ball_energy
 from rieszlab.manifold import SQRT2_2, SQRT3_2
 from test_tiles import _cut_band_sets
 
@@ -150,3 +153,35 @@ def test_separation_and_energy_follow_a_permutation_of_the_points(name, order):
     assert tuple(sorted(int(order[k]) for k in permuted.pair)) == sep.pair
     # the pairs fall into other chunks, so only the rounding may differ
     assert discrete_energy(Y, 0.5) == pytest.approx(discrete_energy(X, 0.5), rel=1e-14, abs=0.0)
+
+
+SMALL_BALL_SPHERES = {d: sphere(d) for d in (1, 2, 3, 4, 5)}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(SMALL_BALL_SPHERES)), st.floats(min_value=0.02, max_value=0.98),
+       st.lists(st.floats(min_value=1e-12, max_value=np.pi), min_size=1, max_size=40))
+@example(5, 0.95, [np.pi * (1 - 1e-15), np.pi])
+@example(2, 0.5, [1e-12, 1e-3, 1e-3 * (1 + 1e-15), 1.0])
+def test_sphere_small_ball_energy_nondecreasing_in_radius(d, fraction, rs):
+    # the integrand t^-s sin^(d-1) t is positive below pi; near pi it
+    # vanishes, so neighbouring radii may swap by the rule's rounding, which
+    # is below 2e-15 relative (test_energy's mpmath cases)
+    m, s, rs = SMALL_BALL_SPHERES[d], fraction * d, np.sort(np.array(rs))
+    e = np.array([small_ball_energy(m, s, r) for r in rs])
+    assert np.all(np.diff(e) >= -4e-15 * e[1:])
+    # one radius at a time gives the same bits as the batch
+    assert m._small_ball_energy(s, rs).tobytes() == e.tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]), st.floats(min_value=0.02, max_value=0.98),
+       st.floats(min_value=1e-12, max_value=0.5))
+@example(2, 0.5, 0.5)
+@example(3, 0.98, 1e-12)
+def test_torus_small_ball_energy_is_closed_form(d, fraction, r):
+    # below r = 1/2 the density is Euclidean, d c_d t^(d-1)
+    s = fraction * d
+    c_d = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    exact = d * c_d * r ** (d - s) / (d - s)
+    assert small_ball_energy(flat_torus(d), s, r) == pytest.approx(exact, rel=1e-15, abs=0.0)

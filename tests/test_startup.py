@@ -1,9 +1,10 @@
 """Start-up: ``import rieszlab`` loads numpy only.
 
-scipy.integrate (which pulls in scipy.optimize) and scipy.special are
-imported inside the functions that use them, so a command that never
-integrates never pays for them.  Each test runs in a fresh interpreter,
-because this session has loaded scipy long ago.
+scipy.special and scipy.spatial are imported inside the functions that use
+them, so a command that never needs them never pays for them.  The radial
+integrals are fixed Gauss rules built with numpy, so no command loads
+scipy.integrate (which pulls in scipy.optimize) or scipy.linalg.  Each test
+runs in a fresh interpreter, because this session has loaded scipy long ago.
 """
 
 import json
@@ -14,7 +15,8 @@ import pytest
 
 from cli_env import cli_env
 
-HEAVY = ("scipy.integrate", "scipy.special", "scipy.optimize")
+HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize")
+PROBED = HEAVY + ("scipy.special",)
 
 
 def _run(code, cwd, threads=1):
@@ -37,30 +39,33 @@ _COMMANDS = """
 import contextlib, io, json, sys
 from rieszlab.cli import cli_dispatch
 
+with open("t2.cfg", "w") as fh:
+    fh.write("manifold=torus\\ndim=2\\ns=1\\ngenerator=kronecker\\nns=32,64,128\\n")
 steps = {}
 for name, argv in [
         ("generate", ["generate", "--manifold", "sphere", "--dim", "2", "--gen", "fibonacci",
                       "--n", "300", "--out", "fib.txt"]),
         ("separation", ["separation", "--in", "fib.txt"]),
         ("discrepancy", ["discrepancy", "--in", "fib.txt", "--extra-centers", "0"]),
-        ("energy", ["energy", "--in", "fib.txt", "--s", "1"])]:
+        ("energy", ["energy", "--in", "fib.txt", "--s", "1"]),
+        ("rate", ["rate", "--config", "t2.cfg", "--out-csv", "t2.csv", "--out-json", "t2.json"]),
+        ("verify-lemmas", ["verify-lemmas", "--manifold", "sphere", "--dim", "3", "--s", "1"])]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_dispatch(argv)
     steps[name] = [code, sorted(m for m in %r if m in sys.modules)]
 print(json.dumps(steps))
-""" % (HEAVY,)
+""" % (PROBED,)
 
 
-def test_only_integrating_commands_load_quadrature(tmp_path):
+def test_no_command_loads_quadrature_or_linalg(tmp_path):
     steps = _run(_COMMANDS, tmp_path)
-    for name in ("generate", "separation", "discrepancy"):
-        code, loaded = steps[name]
-        assert code == 0
-        assert "scipy.integrate" not in loaded, name
-    # positive control: the continuous energy integrates
-    code, loaded = steps["energy"]
-    assert code == 0
-    assert "scipy.integrate" in loaded
+    assert list(steps) == ["generate", "separation", "discrepancy", "energy", "rate",
+                           "verify-lemmas"]
+    for name, (code, loaded) in steps.items():
+        assert code == 0, name
+        assert not set(loaded) & set(HEAVY), name
+    # positive control: S^3 ball volumes are betainc values
+    assert "scipy.special" in steps["verify-lemmas"][1]
 
 
 _FIRST_SPECIAL_IN_WORKERS = """
