@@ -4,7 +4,8 @@ scipy.special and scipy.spatial are imported inside the functions that use
 them, so a command that never needs them never pays for them.  The radial
 integrals are fixed Gauss rules built with numpy, so no command loads
 scipy.integrate (which pulls in scipy.optimize) or scipy.linalg.  Each test
-runs in a fresh interpreter, because this session has loaded scipy long ago.
+runs in a fresh interpreter, because the test process imported scipy long
+ago.
 """
 
 import json
