@@ -188,15 +188,11 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
         c_all = float(np.max(gaps / discs ** kappa)) if len(rows) else math.inf
     half = max(1, len(rows) // 2)
     c_half = float(np.max(gaps[:half] / discs[:half] ** kappa))
-    if len(rows) > half:
-        second = gaps[half:] / (c_half * discs[half:] ** kappa)
-        second_max = float(np.max(second))
-    else:
-        second_max = None
+    second_max = (float(np.max(gaps[half:] / (c_half * discs[half:] ** kappa)))
+                  if len(rows) > half else None)
     gamma_band = float(gammas.max() / gammas.min()) if len(rows) >= 2 else None
-    fits = (None, None, None)
-    if len(rows) >= 2:
-        fits = (_safe_fit(ns, gaps), _safe_fit(ns, discs), _safe_fit(discs, gaps))
+    fits = ((_safe_fit(ns, gaps), _safe_fit(ns, discs), _safe_fit(discs, gaps))
+            if len(rows) >= 2 else (None, None, None))
     return RateReport(
         config=cfg.describe(),
         rows=rows,
@@ -215,9 +211,5 @@ def geometric_schedule(n_min: int, n_max: int) -> list:
     """Doubling schedule n_min, 2 n_min, ..., up to n_max."""
     n_min = as_count("n_min", n_min, 2)
     n_max = as_count("n_max", n_max, n_min)
-    out = []
-    n = n_min
-    while n <= n_max:
-        out.append(n)
-        n *= 2
-    return out
+    # n_min 2^k <= n_max exactly when 2^k <= n_max // n_min
+    return [n_min << k for k in range((n_max // n_min).bit_length())]

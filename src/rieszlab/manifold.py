@@ -169,6 +169,11 @@ class Manifold(ABC):
     def injectivity_radius(self) -> float:
         """Largest radius below which geodesics are uniquely minimizing."""
 
+    @property
+    @abstractmethod
+    def total_volume(self) -> float:
+        """Unnormalized Riemannian volume of the whole manifold."""
+
     # -- point / tangent construction -------------------------------------
 
     def point(self, coords) -> Point:
@@ -369,6 +374,12 @@ class Sphere(Manifold):
     def injectivity_radius(self) -> float:
         return math.pi
 
+    @property
+    def total_volume(self) -> float:
+        from scipy import special
+        d = self.dim
+        return 2.0 * math.pi ** ((d + 1) / 2.0) / special.gamma((d + 1) / 2.0)
+
     def _normalize(self, coords):
         norms = np.linalg.norm(coords, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
@@ -464,6 +475,10 @@ class FlatTorus(Manifold):
     @property
     def injectivity_radius(self) -> float:
         return 0.5
+
+    @property
+    def total_volume(self) -> float:
+        return 1.0
 
     def _normalize(self, coords):
         # np.mod(-1e-17, 1.0) rounds up to 1.0; fold it to 0.0 to stay in [0, 1)

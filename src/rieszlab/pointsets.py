@@ -43,23 +43,19 @@ class PointSet:
             raise InputError("a point set needs at least one point")
         if not np.all(np.isfinite(arr)):
             raise InputError("non-finite coordinates")
-        arr = manifold._normalize(arr)
-        arr.setflags(write=False)
-        self.manifold = manifold
-        self.coords = arr
-        self.provenance = dict(provenance or {})
+        self._fill(manifold, manifold._normalize(arr), provenance)
 
     @classmethod
     def _trusted(cls, manifold: Manifold, coords: np.ndarray, provenance: dict | None = None):
         """Wrap coordinates that are already on the manifold (generator or
         exp-map output) without renormalizing, so bits are preserved."""
         obj = cls.__new__(cls)
-        arr = np.array(coords, dtype=float)
-        arr.setflags(write=False)
-        obj.manifold = manifold
-        obj.coords = arr
-        obj.provenance = dict(provenance or {})
+        obj._fill(manifold, np.array(coords, dtype=float), provenance)
         return obj
+
+    def _fill(self, manifold, arr, provenance):
+        arr.setflags(write=False)
+        self.manifold, self.coords, self.provenance = manifold, arr, dict(provenance or {})
 
     @property
     def n(self) -> int:

@@ -249,10 +249,8 @@ def check_small_ball_energy(m: Manifold, s: float, radii=None,
     r_max = (0.5 * m.injectivity_radius if r_max is None
              else as_real("r_max", r_max, (">", 0), ("<", m.injectivity_radius)))
     radii, grid = _grid(radii, r_max * 1e-3, r_max, 32)
-    if not np.all((radii > 0.0) & (radii <= r_max)):
-        raise InputError("grid must lie inside (0, r_max]")
     d = m.dim
-    small = check_small_ball_bounds(m, r_max, radii)
+    small = check_small_ball_bounds(m, r_max, radii)  # checks the grid against r_max
     c_high = small.constants["c_high"]
     ratios = m._small_ball_energy(s, radii) / radii ** (d - s)
     worst = float(ratios.max())
@@ -310,7 +308,7 @@ def check_mean_potential_holder(m: Manifold, s: float, pairs: int = 20, seed: in
 
 def run_all_checks(m: Manifold, s: float, seed: int = 0) -> list[BoundCheckReport]:
     """The full battery with default grids, as used by the CLI."""
-    reports = [
+    return [
         check_ball_volume_flatness(m),
         check_small_ball_bounds(m, 0.5 * m.injectivity_radius),
         check_large_ball_bounds(m),
@@ -318,4 +316,3 @@ def run_all_checks(m: Manifold, s: float, seed: int = 0) -> list[BoundCheckRepor
         check_small_ball_energy(m, s),
         check_mean_potential_holder(m, s, seed=seed),
     ]
-    return reports

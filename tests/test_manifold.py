@@ -394,8 +394,10 @@ def test_log_cut_locus_errors():
 def test_manifold_metadata():
     s2, t3 = sphere(2), flat_torus(3)
     assert s2.diameter == math.pi and s2.injectivity_radius == math.pi
+    assert s2.total_volume == pytest.approx(4 * math.pi, abs=1e-12)
     assert t3.diameter == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
     assert t3.injectivity_radius == 0.5
+    assert t3.total_volume == 1.0
     for m in ALL_MANIFOLDS:
         assert m.injectivity_radius <= m.diameter + 1e-15
         assert m.dim >= 1

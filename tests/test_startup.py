@@ -65,6 +65,9 @@ def test_no_command_loads_quadrature_or_linalg(tmp_path):
     for name, (code, loaded) in steps.items():
         assert code == 0, name
         assert not set(loaded) & set(HEAVY), name
+    # the S^2 steps run first, so the probe sees them before anything loads scipy
+    for name in ("generate", "separation", "discrepancy", "energy"):
+        assert steps[name][1] == [], name
     # positive control: S^3 ball volumes are betainc values
     assert "scipy.special" in steps["verify-lemmas"][1]
 
