@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .discrepancy import estimate_discrepancy
-from .energy import DEFAULT_QUAD_TOL, energy_report
+from .energy import energy_report
 from .errors import DomainError, InputError
 from .experiment import RateExperimentConfig, geometric_schedule, run_rate_experiment
 from .manifold import make_manifold
@@ -150,7 +150,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("energy", help="discrete vs continuous Riesz energy of a file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_QUAD_TOL)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("discrepancy", help="lower-bound ball discrepancy of a file")
@@ -187,7 +186,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_energy(args) -> int:
     X = load_pointset(args.infile)
-    report = energy_report(X, args.s, tol=args.tol)
+    report = energy_report(X, args.s)
     _emit_json(report.to_dict(), args.out)
     return 0
 
@@ -231,7 +230,7 @@ def parse_rate_config(text: str) -> RateExperimentConfig:
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     known = {"manifold", "dim", "s", "generator", "ns", "n_min", "n_max",
-             "extra_centers", "seed", "quad_tol", "candidate_pool"}
+             "extra_centers", "seed", "candidate_pool"}
     unknown = set(values) - known
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -251,7 +250,7 @@ def parse_rate_config(text: str) -> RateExperimentConfig:
         params["candidate_pool"] = _number("candidate_pool", values["candidate_pool"], int)
     # keys the file leaves out keep the dataclass defaults
     optional = {key: _number(key, values[key], kind) for key, kind in
-                (("extra_centers", int), ("seed", int), ("quad_tol", float)) if key in values}
+                (("extra_centers", int), ("seed", int)) if key in values}
     return RateExperimentConfig(
         manifold=m,
         s=_number("s", values["s"], float),

@@ -52,8 +52,6 @@ CHUNK_ROWS = 256
 # never a row, so every row vector is reduced whole whatever its size.
 TILE_ELEMS = 16384
 
-DEFAULT_QUAD_TOL = 1e-10
-
 
 def _check_real(s) -> None:
     """An exponent s must be a real number, not a bool (InputError); NaN
@@ -345,7 +343,7 @@ def pairwise_distances(X) -> np.ndarray:
 # continuous (radial) integrals
 # ----------------------------------------------------------------------
 
-def continuous_energy(m: Manifold, s: float, tol: float = DEFAULT_QUAD_TOL) -> float:
+def continuous_energy(m: Manifold, s: float) -> float:
     """Energy of the normalized volume measure: the double integral of the
     kernel, which under homogeneity is the Stieltjes integral of r^(-s)
     against the ball volume V.  Up to the injectivity radius r0 it is
@@ -360,12 +358,11 @@ def continuous_energy(m: Manifold, s: float, tol: float = DEFAULT_QUAD_TOL) -> f
     b into smooth terms; V is the unchecked Manifold._ball_volume.  On T^2
     and T^3 it is within 1 ulp of 30-digit mpmath at s = 0.5, 1, ..., d - 1/2.
 
-    tol must be finite and > 0 (InputError) but no longer steers a rule;
-    raises DomainError for s outside (0, d).
+    Raises DomainError for s outside (0, d).
     """
     breaks = m._volume_breaks
     r0, pieces = breaks[0], list(zip(breaks, breaks[1:]))
-    head = small_ball_energy(m, s, r0, tol)  # checks s and tol
+    head = small_ball_energy(m, s, r0)  # checks s
     t, weights = _gauss_legendre_rule(80)
     jacobian = weights * (math.pi / 2.0) * np.sin(math.pi * t)
     tail = 0.0
@@ -375,7 +372,7 @@ def continuous_energy(m: Manifold, s: float, tol: float = DEFAULT_QUAD_TOL) -> f
     return head + (m.diameter ** -s - r0 ** -s * m.ball_volume(r0)) + s * tail
 
 
-def mean_potential(m: Manifold, x: Point, s: float, tol: float = DEFAULT_QUAD_TOL) -> float:
+def mean_potential(m: Manifold, x: Point, s: float) -> float:
     """Mean kernel value at x against the normalized volume measure.
 
     Position-independent on the homogeneous manifolds implemented here;
@@ -383,15 +380,14 @@ def mean_potential(m: Manifold, x: Point, s: float, tol: float = DEFAULT_QUAD_TO
     continuous_energy.
     """
     m.point(x.coords)  # validates dimension / finiteness
-    return continuous_energy(m, s, tol)
+    return continuous_energy(m, s)
 
 
-def small_ball_energy(m: Manifold, s: float, r: float, tol: float = DEFAULT_QUAD_TOL) -> float:
+def small_ball_energy(m: Manifold, s: float, r: float) -> float:
     """Integral of t^(-s) against the radial volume density over (0, r), r below the
     injectivity radius, by a fixed 16-node Gauss-Jacobi rule, within 2e-15 relative on
-    S^1-S^7 (Manifold._small_ball_energy).  tol is checked as by continuous_energy."""
+    S^1-S^7 (Manifold._small_ball_energy)."""
     check_exponent(s, m.dim)
-    as_real("tol", tol, (">", 0))
     return float(m._small_ball_energy(s, np.array([as_real("r", r, (">", 0))]))[0])
 
 
@@ -429,15 +425,14 @@ class EnergyReport:
     energy_discrete: float
     energy_continuous: float
     gap: float
-    quad_tol: float
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def energy_report(X, s: float, tol: float = DEFAULT_QUAD_TOL) -> EnergyReport:
-    e_m = continuous_energy(X.manifold, s, tol)
+def energy_report(X, s: float) -> EnergyReport:
+    e_m = continuous_energy(X.manifold, s)
     e_x = discrete_energy(X, s)
     return EnergyReport(
         n=X.n,
@@ -445,6 +440,5 @@ def energy_report(X, s: float, tol: float = DEFAULT_QUAD_TOL) -> EnergyReport:
         energy_discrete=e_x,
         energy_continuous=e_m,
         gap=abs(e_x - e_m),
-        quad_tol=float(tol),
         provenance=dict(X.provenance),
     )

@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .discrepancy import _tiled_pass
-from .energy import DEFAULT_QUAD_TOL, check_exponent, continuous_energy
-from .errors import DomainError, InputError, as_count, as_real
+from .energy import check_exponent, continuous_energy
+from .errors import DomainError, InputError, as_count
 from .manifold import Manifold
 from .pointsets import generate_pointset
 from .verify import energy_rate_exponent
@@ -46,7 +46,6 @@ class RateExperimentConfig:
     ns: list                           # strictly increasing schedule
     extra_centers: int = 0
     seed: int = 0
-    quad_tol: float = DEFAULT_QUAD_TOL
     generator_params: dict = field(default_factory=dict)
 
     def validate(self):
@@ -58,7 +57,6 @@ class RateExperimentConfig:
             raise InputError("schedule must be strictly increasing")
         as_count("extra_centers", self.extra_centers, 0)
         as_count("seed", self.seed, 0)
-        as_real("quad_tol", self.quad_tol, (">", 0))
 
     def describe(self) -> dict:
         return {
@@ -68,7 +66,6 @@ class RateExperimentConfig:
             "ns": [int(n) for n in self.ns],
             "extra_centers": int(self.extra_centers),
             "seed": int(self.seed),
-            "quad_tol": self.quad_tol,
             "generator_params": dict(self.generator_params),
         }
 
@@ -159,7 +156,7 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
     cfg.validate()
     m = cfg.manifold
     kappa = energy_rate_exponent(m.dim, cfg.s)
-    e_cont = continuous_energy(m, cfg.s, cfg.quad_tol)
+    e_cont = continuous_energy(m, cfg.s)
     rows = []
     for idx, n in enumerate(cfg.ns):
         t0 = time.perf_counter()

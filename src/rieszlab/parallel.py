@@ -11,16 +11,22 @@ from concurrent.futures import ThreadPoolExecutor
 from .errors import InputError, as_count
 
 THREADS_ENV = "RIESZ_THREADS"
+# Largest explicit RIESZ_THREADS: a pass never starts more threads than this.
+MAX_THREADS = 256
 
 
 def resolve_threads() -> int:
-    """Number of worker threads: RIESZ_THREADS (0 = auto), else 1."""
+    """Number of worker threads: RIESZ_THREADS (0 = auto, else at most
+    MAX_THREADS), or 1 when it is unset."""
     raw = os.environ.get(THREADS_ENV, "").strip()
     try:
         threads = int(raw) if raw else 1
     except ValueError as exc:
         raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    return as_count(THREADS_ENV, threads, 0) or os.cpu_count() or 1
+    threads = as_count(THREADS_ENV, threads, 0)
+    if threads > MAX_THREADS:
+        raise InputError(f"{THREADS_ENV} must be <= {MAX_THREADS}, got {threads}")
+    return threads or os.cpu_count() or 1
 
 
 def map_ordered(fn, items, fold=None):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .energy import DEFAULT_QUAD_TOL, check_exponent, mean_potential
+from .energy import check_exponent, mean_potential
 from .errors import InputError, as_count, as_real, as_reals
 from .manifold import Manifold, Point
 from .rng import stream
@@ -276,8 +276,8 @@ def check_small_ball_energy(m: Manifold, s: float, radii=None,
 # mean-potential smoothness
 # ----------------------------------------------------------------------
 
-def check_mean_potential_holder(m: Manifold, s: float, pairs: int = 20, seed: int = 0,
-                                tol: float = DEFAULT_QUAD_TOL) -> BoundCheckReport:
+def check_mean_potential_holder(m: Manifold, s: float, pairs: int = 20,
+                                seed: int = 0) -> BoundCheckReport:
     """Ratio |U(x) - U(x')| / t^((d-s)/(d+1)) for pairs at distance
     <= t, for t spanning several decades.
 
@@ -292,7 +292,7 @@ def check_mean_potential_holder(m: Manifold, s: float, pairs: int = 20, seed: in
     beta = holder_exponent(m.dim, s)
     r0 = m.injectivity_radius
     scales = np.geomspace(r0 * 1e-4, r0 * 1e-1, 4)
-    mean_potential(m, m.origin(), s, tol)
+    mean_potential(m, m.origin(), s)
     worst = 0.0
     return BoundCheckReport(
         check="mean-potential-holder",

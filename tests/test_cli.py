@@ -9,7 +9,6 @@ import pytest
 from rieszlab import PointSet, fibonacci_sphere, flat_torus, sphere
 from rieszlab.cli import (cli_dispatch, format_pointset, load_pointset,
                           parse_pointset, parse_rate_config, save_pointset)
-from rieszlab.energy import DEFAULT_QUAD_TOL
 from rieszlab.errors import InputError
 from rieszlab.experiment import RateExperimentConfig
 
@@ -177,11 +176,10 @@ def test_rate_config_omitted_keys_take_dataclass_defaults():
     cfg = parse_rate_config("manifold=torus\ndim=2\ns=1.0\ngenerator=kronecker\nns=16,32\n")
     assert cfg == RateExperimentConfig(manifold=flat_torus(2), s=1.0, generator="kronecker",
                                        ns=[16, 32])
-    assert cfg.quad_tol == DEFAULT_QUAD_TOL
     assert (cfg.extra_centers, cfg.seed) == (0, 0)
     cfg = parse_rate_config("manifold=torus\ndim=2\ns=1.0\ngenerator=kronecker\nns=16,32\n"
-                            "extra_centers=3\nseed=5\nquad_tol=1e-9\n")
-    assert (cfg.extra_centers, cfg.seed, cfg.quad_tol) == (3, 5, 1e-9)
+                            "extra_centers=3\nseed=5\n")
+    assert (cfg.extra_centers, cfg.seed) == (3, 5)
 
 
 RATE_BASE = {"manifold": "torus", "dim": "1", "s": "0.5", "generator": "kronecker",
@@ -190,7 +188,7 @@ RATE_BASE = {"manifold": "torus", "dim": "1", "s": "0.5", "generator": "kronecke
 
 @pytest.mark.parametrize("key,value", [
     ("dim", "two"), ("s", "one"), ("ns", "32,6x4"), ("n_min", "3e"), ("n_max", "1k"),
-    ("extra_centers", "none"), ("seed", "abc"), ("quad_tol", "tiny"),
+    ("extra_centers", "none"), ("seed", "abc"),
     ("candidate_pool", "2.5"),
 ])
 def test_rate_malformed_number_exits_one(tmp_path, capsys, key, value):
@@ -202,10 +200,7 @@ def test_rate_malformed_number_exits_one(tmp_path, capsys, key, value):
     assert f"error: {key}=" in err
 
 
-@pytest.mark.parametrize("key,value", [
-    ("seed", "-1"), ("quad_tol", "-1"), ("quad_tol", "0"), ("quad_tol", "nan"),
-    ("quad_tol", "inf"),
-])
+@pytest.mark.parametrize("key,value", [("seed", "-1")])
 def test_rate_out_of_range_value_exits_one(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("".join(f"{k}={v}\n" for k, v in dict(RATE_BASE, **{key: value}).items()))
@@ -215,14 +210,23 @@ def test_rate_out_of_range_value_exits_one(tmp_path, capsys, key, value):
     assert f"error: {key} must be" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-def test_energy_out_of_range_tol_exits_one(tmp_path, capsys, tol):
-    pts = str(tmp_path / "p.txt")
-    save_pointset(fibonacci_sphere(8), pts)
-    code, out, err = run_cli(["energy", "--in", pts, "--s", "1", "--tol", tol], capsys)
+def test_rate_quad_tol_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in dict(RATE_BASE, quad_tol="1e-10").items()))
+    code, out, err = run_cli(["rate", "--config", str(cfg), "--out-csv",
+                              str(tmp_path / "o.csv"), "--out-json", "-"], capsys)
     assert code == 1
     assert out == ""
-    assert "error: tol must be finite and > 0" in err
+    assert "error: unknown config keys: quad_tol" in err
+
+
+def test_energy_tol_flag_is_unrecognized(tmp_path, capsys):
+    pts = str(tmp_path / "p.txt")
+    save_pointset(fibonacci_sphere(8), pts)
+    code, out, err = run_cli(["energy", "--in", pts, "--s", "1", "--tol", "1e-9"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: unrecognized arguments: --tol" in err
 
 
 def test_generate_negative_seed_exits_one(tmp_path, capsys):

@@ -51,9 +51,6 @@ TABLE = [
     ("farthest_point_sample", "candidate_pool", lambda v: rl.farthest_point_sample(S2, 1, 0, v)),
     ("minimize_riesz_energy", "max_iters", lambda v: rl.minimize_riesz_energy(X, 1.0, max_iters=v)),
     ("minimize_riesz_energy", "tol", lambda v: rl.minimize_riesz_energy(X, 1.0, 2, tol=v)),
-    ("continuous_energy", "tol", lambda v: rl.continuous_energy(S2, 1.0, v)),
-    ("mean_potential", "tol", lambda v: rl.mean_potential(S2, POLE, 1.0, v)),
-    ("energy_report", "tol", lambda v: rl.energy_report(X, 1.0, v)),
     ("energy_gradient", "cut_margin", lambda v: rl.energy_gradient(X, 1.0, v)),
     ("punctured_mean_potential", "i", lambda v: rl.punctured_mean_potential(X, v, 1.0)),
     ("discrete_energy", "s", lambda v: rl.discrete_energy(X, v)),
@@ -74,14 +71,11 @@ TABLE = [
     ("check_small_ball_energy", "r_max", lambda v: rl.check_small_ball_energy(T2, 1.0, r_max=v)),
     ("check_mean_potential_holder", "pairs", lambda v: rl.check_mean_potential_holder(S2, 1.0, v)),
     ("check_mean_potential_holder", "seed", lambda v: rl.check_mean_potential_holder(S2, 1.0, 2, v)),
-    ("check_mean_potential_holder", "tol",
-     lambda v: rl.check_mean_potential_holder(S2, 1.0, 2, 0, v)),
     ("geometric_schedule", "n_min", lambda v: rl.geometric_schedule(v, 64)),
     ("geometric_schedule", "n_max", lambda v: rl.geometric_schedule(2, v)),
     ("geometric_grid", "count", lambda v: geometric_grid(0.1, 1.0, v)),
     ("RateExperimentConfig", "extra_centers", lambda v: _rate(extra_centers=v)),
     ("RateExperimentConfig", "seed", lambda v: _rate(seed=v)),
-    ("RateExperimentConfig", "quad_tol", lambda v: _rate(quad_tol=v)),
 ]
 
 HOSTILE = [math.nan, math.inf, -math.inf, -1, 0, 1.5, True, "3", None]
@@ -177,7 +171,6 @@ HELD = [
     (rl.InputError, "pool_size", lambda: rl.packing_number(S2, POLE, 1.0, 0.5, 0, 1.5)),
     (rl.InputError, "seed", lambda: rl.sample_uniform(S2, -1, 4)),
     (rl.InputError, "n", lambda: rl.fibonacci_sphere(0)),
-    (rl.InputError, "tol", lambda: rl.continuous_energy(S2, 1.0, math.nan)),
     (rl.InputError, "cut_margin", lambda: rl.energy_gradient(X, 1.0, math.nan)),
     (rl.InputError, "extra_centers", lambda: rl.estimate_discrepancy(X, -1)),
     (rl.InputError, "n_min", lambda: rl.geometric_schedule(1, 10)),
@@ -217,8 +210,8 @@ def test_checks_that_held_keep_their_error(error, argument, call):
 
 
 def test_real_too_large_for_a_float_is_an_input_error():
-    with pytest.raises(rl.InputError, match="^tol must be finite and > 0"):
-        rl.continuous_energy(S2, 1.0, 10 ** 400)
+    with pytest.raises(rl.InputError, match="^cut_margin must be finite and >= 0 and < 1"):
+        rl.energy_gradient(X, 1.0, 10 ** 400)
 
 
 @pytest.mark.parametrize("ys", [[1.0, math.nan], [1.0, math.inf]])
@@ -234,7 +227,7 @@ def test_fit_loglog_rejects_non_finite_data(ys, swap):
 # tolerance, and needs a row in TABLE.
 CHECKED_NAMES = {"n", "dim", "d", "i", "seed", "pool_seed", "cases", "pairs", "pool_size",
                  "extra_centers", "candidate_pool", "max_iters", "n_min", "n_max", "count",
-                 "tol", "quad_tol", "cut_margin"}
+                 "tol", "cut_margin"}
 # Result records store the values the library computed and check nothing.
 RECORDS = {"BoundCheckReport", "DiscrepancyEstimate", "EnergyReport", "RateReport",
            "SeparationReport"}
@@ -253,3 +246,15 @@ def test_every_public_count_and_tolerance_has_a_table_row():
             continue
         missing += [(name, p) for p in parameters if p in CHECKED_NAMES and (name, p) not in rows]
     assert missing == []
+
+
+def test_only_the_descent_takes_a_tolerance():
+    takers = []
+    for name in rl.__all__:
+        try:
+            parameters = inspect.signature(getattr(rl, name)).parameters
+        except (TypeError, ValueError):  # not callable, or an error class's *args
+            continue
+        if "tol" in parameters:
+            takers.append(name)
+    assert takers == ["minimize_riesz_energy"]

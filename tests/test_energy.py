@@ -163,7 +163,7 @@ def test_torus_energy_matches_mpmath(d, s):
                 lambda u, v: u * (1 + u * u + u * u * v * v) ** (-s_ / 2), [0, 1], [0, 1])
     # T^1 is a closed form (c_1 = 2 exactly): within one ulp
     rel = 2e-16 if d == 1 else 2e-15
-    assert continuous_energy(flat_torus(d), s, 1e-13) == pytest.approx(float(exact), rel=rel, abs=0)
+    assert continuous_energy(flat_torus(d), s) == pytest.approx(float(exact), rel=rel, abs=0)
 
 
 SMALL_BALL_CASES = [(kind, d, r, s)
@@ -179,8 +179,7 @@ def test_small_ball_energy_matches_mpmath(kind, d, r, s):
     # density below the injectivity radius, sin^(d-1) t over its integral on
     # (0, pi) on S^d, and d c_d t^(d-1) on T^d.  The substitution u = t^(d-s)
     # takes t^(d-1-s) out of the integrand: for s near d, plain mpmath.quad
-    # of t^-s sin^(d-1) t is 3e-9 off at r = pi.  The rule is fixed, so the
-    # default tol and a tiny one give the same value.
+    # of t^-s sin^(d-1) t is 3e-9 off at r = pi.
     import mpmath
     with mpmath.workdps(30):
         s_, r_ = mpmath.mpf(s), mpmath.mpf(r)
@@ -194,8 +193,7 @@ def test_small_ball_energy_matches_mpmath(kind, d, r, s):
             scale = d * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
             ratio = lambda t: 1  # noqa: E731
         exact = scale * p * mpmath.quad(lambda u: ratio(u ** p), [0, r_ ** (d - s_)])
-    for tol in (energy.DEFAULT_QUAD_TOL, 1e-20):
-        assert small_ball_energy(m, s, r, tol) == pytest.approx(float(exact), rel=1e-13, abs=0)
+    assert small_ball_energy(m, s, r) == pytest.approx(float(exact), rel=1e-13, abs=0)
 
 
 def test_sphere2_energy_sine_integral():
@@ -225,23 +223,6 @@ def test_torus3_energy_monte_carlo_oracle():
     assert abs(got - (inner + outer)) <= 4.0 * sigma
 
 
-def test_quadrature_tolerance_convergence():
-    for m, s in ((sphere(2), 1.0), (sphere(3), 1.7), (flat_torus(2), 1.0), (flat_torus(3), 1.5)):
-        tol = 1e-8
-        a = continuous_energy(m, s, tol)
-        b = continuous_energy(m, s, tol / 100)
-        assert abs(a - b) <= 10 * tol
-
-
-@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
-def test_out_of_range_tol_rejected(tol):
-    for run in (lambda: continuous_energy(sphere(2), 1.0, tol),
-                lambda: small_ball_energy(sphere(2), 1.0, 0.1, tol),
-                lambda: small_ball_energy(flat_torus(2), 1.0, 0.1, tol)):
-        with pytest.raises(InputError, match="^tol must be finite and > 0"):
-            run()
-
-
 def test_divergent_exponent_rejected():
     with pytest.raises(DomainError):
         continuous_energy(sphere(2), 2.0)
@@ -255,10 +236,10 @@ def test_divergent_exponent_rejected():
 
 def test_mean_potential_equals_continuous_energy():
     for m, s in ((sphere(2), 1.0), (sphere(1), 0.5), (flat_torus(2), 1.0)):
-        e = continuous_energy(m, s, 1e-10)
+        e = continuous_energy(m, s)
         rng = stream(5, "holder-x")
         for x in m._sample(rng, 20):
-            u = mean_potential(m, m.point(x), s, 1e-10)
+            u = mean_potential(m, m.point(x), s)
             assert abs(u - e) <= 2e-10
 
 

@@ -1,8 +1,9 @@
 """Property tests of the ball volume (on T^3, the one torus volume that
 needs a quadrature, the edge overlaps beyond r = sqrt(2)/2, and on S^1-S^3,
 T^1 and T^2), of the energy gradient, the energy and the separation under a
-permutation of the points, of the symmetry of the axis deltas and the
-squared distances, and of the small-ball energy on S^1-S^5, T^2 and T^3."""
+permutation of the points, of the energy, the separation and the discrepancy
+under an isometry, of the symmetry of the axis deltas and the squared
+distances, and of the small-ball energy on S^1-S^5, T^2 and T^3."""
 
 import math
 
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rieszlab import (PointSet, ball_volume, discrete_energy, energy_gradient, flat_torus,
-                      kronecker_torus, min_geodesic_distance, sample_uniform, sphere)
+from rieszlab import (PointSet, ball_volume, discrete_energy, energy_gradient,
+                      estimate_discrepancy, fibonacci_sphere, flat_torus, kronecker_torus,
+                      min_geodesic_distance, sample_uniform, sphere)
 from rieszlab.energy import small_ball_energy
 from rieszlab.manifold import SQRT2_2, SQRT3_2
 from test_tiles import _cut_band_sets
@@ -153,6 +155,33 @@ def test_separation_and_energy_follow_a_permutation_of_the_points(name, order):
     assert tuple(sorted(int(order[k]) for k in permuted.pair)) == sep.pair
     # the pairs fall into other chunks, so only the rounding may differ
     assert discrete_energy(Y, 0.5) == pytest.approx(discrete_energy(X, 0.5), rel=1e-14, abs=0.0)
+
+
+def _invariants(X):
+    return np.array([discrete_energy(X, 1.0), min_geodesic_distance(X).min_distance,
+                     estimate_discrepancy(X, extra_centers=0).value])
+
+
+# lattices with many tied distances, and uniform sets
+ISOMETRY_SETS = {"S2": fibonacci_sphere(300), "S3": sample_uniform(sphere(3), 7, 200),
+                 "T2": kronecker_torus(2, 300), "T3": sample_uniform(flat_torus(3), 8, 200)}
+ISOMETRY_VALUES = {name: _invariants(X) for name, X in ISOMETRY_SETS.items()}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(ISOMETRY_SETS)), st.integers(min_value=0, max_value=2**32 - 1))
+def test_energy_separation_and_discrepancy_invariant_under_an_isometry(name, seed):
+    # a random rotation of the sphere (Q of a Gaussian's QR, its columns'
+    # signs fixed by R's diagonal) or a random translation of the torus; with
+    # no extra centers the discrepancy's centers are the points and move too
+    X, rng = ISOMETRY_SETS[name], np.random.default_rng(seed)
+    if name.startswith("S"):
+        q, r = np.linalg.qr(rng.standard_normal((X.manifold.ambient_dim,) * 2))
+        moved = X.coords @ (q * np.sign(np.diag(r))).T
+    else:
+        moved = X.coords + rng.random(X.manifold.dim)
+    got = _invariants(PointSet(X.manifold, moved))
+    np.testing.assert_allclose(got, ISOMETRY_VALUES[name], rtol=1e-12, atol=0.0)
 
 
 SMALL_BALL_SPHERES = {d: sphere(d) for d in (1, 2, 3, 4, 5)}

@@ -27,7 +27,7 @@ def test_no_public_callable_takes_threads():
 
 
 @pytest.mark.parametrize("raw,expected", [
-    (None, 1), ("", 1), ("3", 3), ("0", os.cpu_count() or 1)])
+    (None, 1), ("", 1), ("3", 3), ("256", 256), ("0", os.cpu_count() or 1)])
 def test_resolve_threads_reads_the_environment(monkeypatch, raw, expected):
     if raw is None:
         monkeypatch.delenv("RIESZ_THREADS", raising=False)
@@ -36,8 +36,9 @@ def test_resolve_threads_reads_the_environment(monkeypatch, raw, expected):
     assert resolve_threads() == expected
 
 
-@pytest.mark.parametrize("raw", ["two", "1.5", "-1"])
+# above MAX_THREADS = 256 is an error too; no test starts that many threads
+@pytest.mark.parametrize("raw", ["two", "1.5", "-1", "257", str(10 ** 6)])
 def test_bad_thread_count_is_an_input_error(monkeypatch, raw):
     monkeypatch.setenv("RIESZ_THREADS", raw)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^RIESZ_THREADS must be"):
         resolve_threads()
