@@ -210,9 +210,12 @@ def test_rate_out_of_range_value_exits_one(tmp_path, capsys, key, value):
     assert f"error: {key} must be" in err
 
 
-def test_rate_quad_tol_key_is_unknown(tmp_path, capsys):
+# the values the removed key once accepted or rejected: each is now an unknown key,
+# with no value check of its own left behind
+@pytest.mark.parametrize("value", ["1e-10", "tiny", "-1", "0", "nan", "inf"])
+def test_rate_quad_tol_key_is_unknown(tmp_path, capsys, value):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in dict(RATE_BASE, quad_tol="1e-10").items()))
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in dict(RATE_BASE, quad_tol=value).items()))
     code, out, err = run_cli(["rate", "--config", str(cfg), "--out-csv",
                               str(tmp_path / "o.csv"), "--out-json", "-"], capsys)
     assert code == 1
@@ -220,10 +223,11 @@ def test_rate_quad_tol_key_is_unknown(tmp_path, capsys):
     assert "error: unknown config keys: quad_tol" in err
 
 
-def test_energy_tol_flag_is_unrecognized(tmp_path, capsys):
+@pytest.mark.parametrize("tol", ["1e-9", "nan", "-1", "0", "inf"])
+def test_energy_tol_flag_is_unrecognized(tmp_path, capsys, tol):
     pts = str(tmp_path / "p.txt")
     save_pointset(fibonacci_sphere(8), pts)
-    code, out, err = run_cli(["energy", "--in", pts, "--s", "1", "--tol", "1e-9"], capsys)
+    code, out, err = run_cli(["energy", "--in", pts, "--s", "1", "--tol", tol], capsys)
     assert code == 1
     assert out == ""
     assert "error: unrecognized arguments: --tol" in err
