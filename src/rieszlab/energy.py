@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, InputError, as_count, as_real, as_reals
-from .manifold import Manifold, Point, _gauss_legendre_rule, sum_of_squares
+from .manifold import Manifold, Point, _gauss_rule, sum_of_squares
 from .parallel import chunk_ranges, map_ordered
 
 # Fixed row-chunk size for pairwise reductions.  Chunk boundaries (and
@@ -363,7 +363,7 @@ def continuous_energy(m: Manifold, s: float) -> float:
     breaks = m._volume_breaks
     r0, pieces = breaks[0], list(zip(breaks, breaks[1:]))
     head = small_ball_energy(m, s, r0)  # checks s
-    t, weights = _gauss_legendre_rule(80)
+    t, weights = _gauss_rule(0.0, 80)
     jacobian = weights * (math.pi / 2.0) * np.sin(math.pi * t)
     tail = 0.0
     for a, b in pieces:

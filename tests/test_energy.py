@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from rieszlab import (DomainError, InputError, PointSet, continuous_energy,
                       discrete_energy, energy_gradient, energy_report,
@@ -197,8 +197,33 @@ def test_small_ball_energy_matches_mpmath(kind, d, r, s):
 
 
 def test_sphere2_energy_sine_integral():
-    got = continuous_energy(sphere(2), 1.0)
-    assert got == pytest.approx(special.sici(math.pi)[0] / 2.0, abs=1e-9)
+    # I_1(S^2) = Si(pi) / 2, from 30-digit mpmath: scipy's sici(pi) is 2 ulps low
+    import mpmath
+    with mpmath.workdps(30):
+        exact = float(mpmath.si(mpmath.pi) / 2)
+    assert abs(continuous_energy(sphere(2), 1.0) - exact) <= math.ulp(exact)
+
+
+def test_sphere_energy_matches_mpmath():
+    # independent reference: with t = pi v and beta = d - 1 - s, I_s(S^d) is
+    # pi^(d-s) / Z_d times the integral of v^beta sinc(pi v)^(d-1) over
+    # (0, 1), Z_d the integral of sin^(d-1) on (0, pi); v = w^(1 / (beta + 1))
+    # takes v^beta out of the integrand, where plain mpmath.quad of it is
+    # 3e-9 off at beta = -3/4
+    import mpmath
+    sinc = lambda v: mpmath.sin(mpmath.pi * v) / (mpmath.pi * v) if v > 0 else 1  # noqa: E731
+    worst = 0.0
+    for d in range(1, 6):
+        for s in (k / 4 for k in range(1, 4 * d)):
+            with mpmath.workdps(30):
+                beta = d - 1 - mpmath.mpf(s)
+                integral = mpmath.quad(lambda w: sinc(w ** (1 / (beta + 1))) ** (d - 1), [0, 1])
+                scale = mpmath.gamma(mpmath.mpf(d + 1) / 2) / (
+                    mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(d) / 2))
+                exact = float(scale * mpmath.pi ** (d - s) * integral / (beta + 1))
+            worst = max(worst, abs(continuous_energy(sphere(d), s) - exact) / math.ulp(exact))
+    # the worst case on S^1-S^7 is 9 ulps
+    assert worst <= 10
 
 
 def test_torus2_energy_double_integral_oracle():

@@ -260,6 +260,17 @@ def test_euclidean_ball_volumes():
         euclidean_ball_volume(2, -1.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_unit_ball_volume_is_correctly_rounded(d):
+    # c_d sets every torus volume below radius 1/2; math.gamma would give
+    # c_1 = 1.9999999999999998 and c_3 one ulp low
+    import mpmath
+    from rieszlab.manifold import _unit_ball_volume
+    with mpmath.workdps(30):
+        exact = float(mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1))
+    assert _unit_ball_volume(d) == exact
+
+
 # ----------------------------------------------------------------------
 # sampling
 # ----------------------------------------------------------------------

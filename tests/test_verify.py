@@ -64,7 +64,7 @@ def test_sphere3_flatness_bounded():
     assert rep.constants["c0"] == pytest.approx(0.2, rel=0.05)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_sphere_flatness_defect_matches_mpmath(d):
     # independent reference: 30-digit quadrature of the scaled difference
     # (sin(r v) / r)^(d-1) - v^(d-1) over v in (0, 1), whose integral times
@@ -77,7 +77,7 @@ def test_sphere_flatness_defect_matches_mpmath(d):
             r = mpmath.mpf(float(r))
             diff = mpmath.quad(lambda v: (mpmath.sin(r * v) / r) ** (d - 1) - v ** (d - 1), [0, 1])
             exact.append(float(d * abs(diff) / r ** 2))
-    assert sphere(d)._flatness_defect(radii) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert sphere(d)._flatness_defect(radii) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 def test_sphere_flatness_defect_independent_of_batch():
