@@ -47,11 +47,18 @@ class DiscrepancyEstimate:
         return {**asdict(self), "center": [float(c) for c in self.center.coords]}
 
 
+def _center(X, y: Point) -> np.ndarray:
+    """The coordinates of y as given, checked by the rule of Manifold.point:
+    a center off the manifold is an InputError."""
+    center = _as_vector(y.coords, X.manifold.ambient_dim, "center")
+    X.manifold._normalize(center[None, :])
+    return center
+
+
 def ball_count(X, y: Point, r: float) -> int:
     """Number of code points inside the closed ball B(y, r)."""
     r = as_real("r", r, (">=", 0))
-    center = _as_vector(y.coords, X.manifold.ambient_dim, "center")
-    d = X.manifold.distances_from(center, X.coords)
+    d = X.manifold.distances_from(_center(X, y), X.coords)
     return int(np.count_nonzero(d <= r))
 
 
@@ -63,7 +70,7 @@ def center_discrepancy(X, y: Point):
     with the ball closed at the radius, 'below' in the limit from below.
     Ties prefer the smaller radius, then the 'above' side.
     """
-    center = _as_vector(y.coords, X.manifold.ambient_dim, "center")[None, None, :]
+    center = _center(X, y)[None, None, :]
     Q = X.manifold.sq_dist(center, X.coords[None, :, :])
     above, below = _jump_values(X.manifold, Q)
     vals = np.concatenate([above[0], below[0]])

@@ -292,8 +292,6 @@ def discrete_energy(X, s: float) -> float:
     DomainError naming the offending indices.
     """
     check_exponent(s, X.manifold.dim)
-    if X.n < 2:
-        return 0.0
     return _chunked_pass(X, s=s).energy
 
 
@@ -303,8 +301,6 @@ def punctured_mean_potential(X, i: int, s: float) -> float:
     check_exponent(s, X.manifold.dim)
     n = X.n
     center = X.point(i).coords  # checks 0 <= i < n
-    if n == 1:
-        return 0.0
     d = X.manifold.distances_from(center, X.coords)
     others = np.delete(np.arange(n), i)
     d = d[others]
@@ -324,8 +320,6 @@ def energy_via_distance_cdf(X, s: float) -> float:
     """
     check_exponent(s, X.manifold.dim)
     n = X.n
-    if n < 2:
-        return 0.0
     dists = pairwise_distances(X)
     if np.any(dists <= 0.0):
         raise DomainError("coincident points in the set")
@@ -407,8 +401,6 @@ def energy_gradient(X, s: float, cut_margin: float = 1e-12) -> np.ndarray:
     """
     check_exponent(s, X.manifold.dim)
     cut_margin = as_real("cut_margin", cut_margin, (">=", 0), ("<", 1))
-    if X.n < 2:
-        return np.zeros_like(X.coords)
     return _chunked_pass(X, gradient=(s, (cut_margin,))).gradients[0]
 
 

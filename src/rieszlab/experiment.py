@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -161,8 +160,8 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
     for idx, n in enumerate(cfg.ns):
         t0 = time.perf_counter()
         row_seed = cfg.seed * 100003 + idx
-        pool = cfg.generator_params.get("candidate_pool", 10 * n)
-        X = generate_pointset(m, cfg.generator, int(n), row_seed, candidate_pool=pool)
+        X = generate_pointset(m, cfg.generator, int(n), row_seed,
+                              candidate_pool=cfg.generator_params.get("candidate_pool"))
         try:
             disc, e_disc, sep = _tiled_pass(X, cfg.extra_centers, row_seed, cfg.s)
         except DomainError as exc:  # the energy meets a coincident pair first
@@ -182,7 +181,7 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
     discs = np.array([r.disc_estimate for r in rows])
     gammas = np.array([r.gamma_hat for r in rows])
     with np.errstate(divide="ignore"):
-        c_all = float(np.max(gaps / discs ** kappa)) if len(rows) else math.inf
+        c_all = float(np.max(gaps / discs ** kappa))
     half = max(1, len(rows) // 2)
     c_half = float(np.max(gaps[:half] / discs[:half] ** kappa))
     second_max = (float(np.max(gaps[half:] / (c_half * discs[half:] ** kappa)))

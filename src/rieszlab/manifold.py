@@ -190,22 +190,6 @@ class Manifold(ABC):
 
     # -- geometry ----------------------------------------------------------
 
-    def distance(self, x: Point, y: Point) -> float:
-        return float(self.distances_from(x.coords, y.coords[None, :])[0])
-
-    def exp(self, v: TangentVector) -> Point:
-        out = self.exp_array(v.base.coords[None, :], v.components[None, :])[0]
-        return Point(out)
-
-    def log(self, x: Point, y: Point) -> TangentVector:
-        d = self.distance(x, y)
-        if d >= self.injectivity_radius:
-            raise DomainError(
-                f"log map undefined: dist {d:.6g} reaches the cut locus "
-                f"(injectivity radius {self.injectivity_radius:.6g})"
-            )
-        return TangentVector(x, self._log_array(x.coords, y.coords[None, :])[0])
-
     def sample(self, seed: int, n: int) -> np.ndarray:
         """n i.i.d. points from the normalized volume measure, as an
         (n, ambient_dim) array; deterministic given the seed."""
@@ -609,7 +593,7 @@ def make_manifold(kind: str, dim: int) -> Manifold:
 
 def geodesic_distance(m: Manifold, x: Point, y: Point) -> float:
     """Geodesic distance between two points of m."""
-    return m.distance(x, y)
+    return float(m.distances_from(x.coords, y.coords[None, :])[0])
 
 
 def ball_volume(m: Manifold, r):
@@ -630,9 +614,15 @@ def euclidean_ball_volume(d: int, r):
 
 @functools.cache
 def _unit_ball_volume(d: int) -> float:
-    """c_d = pi^(d/2) / Gamma(d/2 + 1), the volume of the Euclidean unit d-ball."""
-    from scipy import special
-    return math.pi ** (d / 2.0) / special.gamma(d / 2.0 + 1.0)
+    """c_d = pi^(d/2) / Gamma(d/2 + 1), the volume of the Euclidean unit d-ball:
+    c_d = (2 pi / d) c_(d-2), c_0 = 1, c_1 = 2, in rational arithmetic on pi to
+    50 digits, rounded once, so correctly rounded (checked for d = 1..12)."""
+    from fractions import Fraction
+    pi = Fraction("3.1415926535897932384626433832795028841971693993751")
+    c = Fraction(1 + d % 2)
+    for k in range(2 + d % 2, d + 1, 2):
+        c *= 2 * pi / k
+    return float(c)
 
 
 def sample_uniform(m: Manifold, seed: int, n: int):
@@ -646,7 +636,7 @@ def sample_uniform(m: Manifold, seed: int, n: int):
 def exp_map(m: Manifold, v: TangentVector) -> Point:
     """Point reached from v.base after following the geodesic with initial
     velocity v for unit time."""
-    return m.exp(v)
+    return Point(m.exp_array(v.base.coords[None, :], v.components[None, :])[0])
 
 
 def log_map(m: Manifold, x: Point, y: Point) -> TangentVector:
@@ -654,4 +644,10 @@ def log_map(m: Manifold, x: Point, y: Point) -> TangentVector:
 
     Raises DomainError when dist(x, y) reaches the injectivity radius.
     """
-    return m.log(x, y)
+    d = geodesic_distance(m, x, y)
+    if d >= m.injectivity_radius:
+        raise DomainError(
+            f"log map undefined: dist {d:.6g} reaches the cut locus "
+            f"(injectivity radius {m.injectivity_radius:.6g})"
+        )
+    return TangentVector(x, m._log_array(x.coords, y.coords[None, :])[0])

@@ -272,7 +272,7 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
     n, d = X0.n, m.dim
     current = PointSet._trusted(m, X0.coords)
     try:
-        energy_now = _energy.discrete_energy(current, s) if n >= 2 else 0.0
+        energy_now = _energy.discrete_energy(current, s)
     except DomainError as exc:
         raise InputError(f"initial set has {exc}") from exc
     trace = [energy_now]
@@ -281,9 +281,6 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
     line_search_failed = False
     iters_done = 0
     for _ in range(max_iters):
-        if n < 2:
-            converged = True
-            break
         best_prop, best_e = None, energy_now
         # one gradient pass gives both candidates' energy_gradient
         for grad in _energy._chunked_pass(current, gradient=(s, (1e-12, 1e-2))).gradients:

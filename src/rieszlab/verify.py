@@ -56,6 +56,17 @@ def _grid(radii, lo: float, hi: float, count: int):
                    "count": int(len(radii)), "spacing": spacing}
 
 
+def _bounded_toward_zero(values, radii):
+    """The r -> 0 rule on a sorted radius grid: (max over the smallest decade,
+    the radii below 10 x the smallest; max over the rest, or the first max if
+    none; whether the first stays within 2 x the second)."""
+    small = radii < 10.0 * radii[0]
+    max_small = float(values[small].max())
+    rest = values[~small]
+    max_rest = float(rest.max()) if rest.size else max_small
+    return max_small, max_rest, max_small <= 2.0 * max_rest
+
+
 # ----------------------------------------------------------------------
 # exponents
 # ----------------------------------------------------------------------
@@ -88,11 +99,8 @@ def check_ball_volume_flatness(m: Manifold, radii=None) -> BoundCheckReport:
         raise InputError("flatness grid must lie inside (0, injectivity radius)")
     defect = m._flatness_defect(radii)
     c0 = float(defect.max())
-    small = radii < 10.0 * radii[0]
-    max_small = float(defect[small].max()) if np.any(small) else 0.0
-    rest = defect[~small]
-    max_rest = float(rest.max()) if rest.size else max_small
-    passed = max_small <= 2.0 * max_rest or c0 == 0.0
+    max_small, max_rest, bounded = _bounded_toward_zero(defect, radii)
+    passed = bounded or c0 == 0.0
     return BoundCheckReport(
         check="ball-volume-flatness",
         manifold=m.describe(),
@@ -256,10 +264,6 @@ def check_small_ball_energy(m: Manifold, s: float, radii=None,
     worst = float(ratios.max())
     bound = c_high * d / (d - s)
     tol = bound * (1.0 + 1e-6)
-    # boundedness toward r -> 0: smallest decade must not dominate
-    first = radii < 10.0 * radii[0]
-    rest = ratios[~first]
-    blow_up = bool(rest.size) and float(ratios[first].max()) > 2.0 * float(rest.max())
     return BoundCheckReport(
         check="small-ball-energy",
         manifold=m.describe(),
@@ -267,7 +271,7 @@ def check_small_ball_energy(m: Manifold, s: float, radii=None,
         constants={"c_high": c_high, "bound": bound, "max_ratio": worst},
         worst_ratio=worst,
         tolerance=tol,
-        passed=bool(worst <= tol and not blow_up),
+        passed=bool(worst <= tol and _bounded_toward_zero(ratios, radii)[2]),
         params={"s": float(s), "r_max": float(r_max)},
     )
 

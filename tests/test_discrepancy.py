@@ -34,6 +34,16 @@ def test_center_of_wrong_length_rejected():
         center_discrepancy(X, center)
 
 
+def test_center_off_the_sphere_rejected():
+    # a center must lie on the manifold, by the rule of Manifold.point
+    X = fibonacci_sphere(200)
+    center = Point(np.array([3.0, 0.0, 0.0]))
+    with pytest.raises(InputError, match="too far from 1"):
+        ball_count(X, center, 0.5)
+    with pytest.raises(InputError, match="too far from 1"):
+        center_discrepancy(X, center)
+
+
 def test_center_coordinates_used_as_given():
     # the shape check does not renormalize: the radius of a center off the
     # sphere by 1e-9 is a distance from its raw coordinates

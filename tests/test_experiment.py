@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import (InputError, PointSet, RateExperimentConfig, fit_loglog,
-                      flat_torus, geometric_schedule, run_rate_experiment, sphere)
+from rieszlab import (InputError, PointSet, RateExperimentConfig, discrete_energy,
+                      estimate_discrepancy, farthest_point_sample, fit_loglog, flat_torus,
+                      geometric_schedule, min_geodesic_distance, run_rate_experiment, sphere)
 from rieszlab import experiment
 from rieszlab.cli import cli_dispatch
 from rieszlab.experiment import CSV_COLUMNS, LOWER_BOUND_CAVEAT
@@ -181,3 +182,18 @@ def test_farthest_point_sweep_runs():
     report = run_rate_experiment(cfg)
     assert report.rows[0].gamma_hat > 0
     assert report.config["generator"] == "farthest-point"
+
+
+def test_farthest_point_row_takes_the_generator_default_pool():
+    # no candidate_pool in the config: the row's set is farthest_point_sample's
+    # own, with its default pool of max(10 N, 1024) candidates
+    m = sphere(2)
+    cfg = RateExperimentConfig(manifold=m, s=1.0, generator="farthest-point",
+                               ns=[16, 32], extra_centers=0, seed=3)
+    row = run_rate_experiment(cfg).rows[1]
+    row_seed = 3 * 100003 + 1
+    X = farthest_point_sample(m, 32, seed=row_seed)
+    assert X.provenance["candidate_pool"] == 1024
+    assert row.energy_discrete == discrete_energy(X, 1.0)
+    assert row.separation == min_geodesic_distance(X).min_distance
+    assert row.disc_estimate == estimate_discrepancy(X, 0, seed=row_seed).value

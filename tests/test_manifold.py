@@ -260,10 +260,11 @@ def test_euclidean_ball_volumes():
         euclidean_ball_volume(2, -1.0)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", range(1, 13))
 def test_unit_ball_volume_is_correctly_rounded(d):
     # c_d sets every torus volume below radius 1/2; math.gamma would give
-    # c_1 = 1.9999999999999998 and c_3 one ulp low
+    # c_1 = 1.9999999999999998 and c_3 one ulp low, scipy's gamma one ulp off
+    # for d = 5..12
     import mpmath
     from rieszlab.manifold import _unit_ball_volume
     with mpmath.workdps(30):

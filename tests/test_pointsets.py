@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import (FlatTorus, InputError, PointSet, discrete_energy,
+from rieszlab import (FlatTorus, InputError, PointSet, discrete_energy, energy_gradient,
                       farthest_point_sample, fibonacci_sphere, flat_torus,
                       kronecker_torus, min_geodesic_distance,
                       minimize_riesz_energy, sample_uniform, sphere)
@@ -251,6 +251,17 @@ def test_descent_four_points_torus_equal_spacing():
         xs = np.sort(out.coords[:, 0])
         gaps = np.sort(np.diff(np.concatenate([xs, [xs[0] + 1.0]])))
         assert np.max(np.abs(gaps - 0.25)) <= 1e-4
+
+
+@pytest.mark.parametrize("X0", [fibonacci_sphere(1), kronecker_torus(3, 1)], ids=["S2", "T3"])
+def test_one_point_set_takes_the_general_pass(X0):
+    # no pair: energy 0, a zero gradient, and the descent stops on it at once
+    assert energy_gradient(X0, 1.0).tolist() == [[0.0] * X0.manifold.ambient_dim]
+    out = minimize_riesz_energy(X0, 1.0, max_iters=5)
+    assert np.array_equal(out.coords, X0.coords)
+    assert out.provenance["iterations"] == 0
+    assert out.provenance["converged"] and not out.provenance["line_search_failed"]
+    assert out.provenance["energy_trace"] == [0.0]
 
 
 def test_descent_zero_iterations_unchanged():

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rieszlab import (PointSet, ball_volume, discrete_energy, energy_gradient,
-                      estimate_discrepancy, fibonacci_sphere, flat_torus, kronecker_torus,
-                      min_geodesic_distance, sample_uniform, sphere)
+                      estimate_discrepancy, fibonacci_sphere, flat_torus, geodesic_distance,
+                      kronecker_torus, min_geodesic_distance, sample_uniform, sphere)
 from rieszlab.energy import small_ball_energy
 from rieszlab.manifold import SQRT2_2, SQRT3_2
 from test_tiles import _cut_band_sets
@@ -73,7 +73,7 @@ def test_ball_volume_nondecreasing_in_unit_interval(name, fractions):
 @example([0.1, 0.2, 0.3], [0.6, 0.7, 0.3])
 def test_torus3_volume_from_sq_is_ball_volume_of_distance(x, y):
     q = T3.sq_dist(np.array(x), np.array(y))
-    expected = ball_volume(T3, T3.distance(T3.point(x), T3.point(y)))
+    expected = ball_volume(T3, geodesic_distance(T3, T3.point(x), T3.point(y)))
     # the distance is sqrt(q), and squaring it back may move q by an ulp,
     # which moves c_3 q^(3/2) by about 1.5 ulps
     assert T3.volume_from_sq(q) == pytest.approx(expected, rel=1e-15, abs=0.0)

@@ -1,11 +1,12 @@
 """Start-up: ``import rieszlab`` loads numpy only.
 
 scipy.special and scipy.spatial are imported inside the functions that use
-them, so a command that never needs them never pays for them.  The radial
-integrals are fixed Gauss rules built with numpy, so no command loads
-scipy.integrate (which pulls in scipy.optimize) or scipy.linalg.  Each test
-runs in a fresh interpreter, because the test process imported scipy long
-ago.
+them, so a command that never needs them never pays for them: scipy.special
+serves only the S^d ball volumes for d >= 3, scipy.spatial only the grid
+separation, and no torus command loads scipy at all.  The radial integrals
+are fixed Gauss rules built with numpy, so no command loads scipy.integrate
+(which pulls in scipy.optimize) or scipy.linalg.  Each test runs in a fresh
+interpreter, because the test process imported scipy long ago.
 """
 
 import json
@@ -72,6 +73,38 @@ def test_no_command_loads_quadrature_or_linalg(tmp_path):
     assert "scipy.special" in steps["verify-lemmas"][1]
 
 
+_TORUS_COMMANDS = """
+import contextlib, io, json, sys
+from rieszlab.cli import cli_dispatch
+
+with open("t2.cfg", "w") as fh:
+    fh.write("manifold=torus\\ndim=2\\ns=1\\ngenerator=kronecker\\nns=32,64,128\\n")
+steps = {}
+for name, argv in [
+        ("generate", ["generate", "--manifold", "torus", "--dim", "3", "--gen", "kronecker",
+                      "--n", "300", "--out", "k.txt"]),
+        ("energy", ["energy", "--in", "k.txt", "--s", "1"]),
+        ("discrepancy", ["discrepancy", "--in", "k.txt"]),
+        ("separation", ["separation", "--in", "k.txt", "--method", "brute"]),
+        ("rate", ["rate", "--config", "t2.cfg", "--out-csv", "t2.csv", "--out-json", "t2.json"]),
+        ("verify-lemmas T2", ["verify-lemmas", "--manifold", "torus", "--dim", "2", "--s", "1"]),
+        ("verify-lemmas T3", ["verify-lemmas", "--manifold", "torus", "--dim", "3", "--s", "1"])]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_dispatch(argv)
+    steps[name] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+print(json.dumps(steps))
+"""
+
+
+def test_torus_commands_load_no_scipy(tmp_path):
+    steps = _run(_TORUS_COMMANDS, tmp_path)
+    assert list(steps) == ["generate", "energy", "discrepancy", "separation", "rate",
+                           "verify-lemmas T2", "verify-lemmas T3"]
+    for name, (code, loaded) in steps.items():
+        assert code == 0, name
+        assert loaded == [], name
+
+
 _FIRST_SPECIAL_IN_WORKERS = """
 import json, sys
 from rieszlab import estimate_discrepancy, kronecker_torus, sample_uniform, sphere
@@ -84,7 +117,8 @@ print(json.dumps([est.value.hex(), est.radius.hex(), est.center_index]))
 
 
 # 256 code points and 1024 extra centers make five chunks, so with more than
-# one thread the first betainc (S^3) or unit-ball volume (T^3) runs in a worker
+# one thread the first betainc (S^3, which imports scipy.special) or unit-ball
+# volume (T^3, which imports no scipy) runs in a worker
 @pytest.mark.parametrize("pointset", ["sample_uniform(sphere(3), 5, 256)", "kronecker_torus(3, 256)"],
                          ids=["S3", "T3"])
 def test_first_scipy_special_import_in_worker_threads(tmp_path, pointset):
