@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .energy import _chunked_pass, _jump_values
-from .errors import as_count, as_real
+from .errors import as_real, as_sized_count
 from .manifold import Point, _as_vector
 from .pointsets import _separation_report
 from .rng import stream
@@ -92,7 +92,8 @@ def _tiled_pass(X, extra_centers: int | None, seed: int, s: float | None = None)
     DomainError.
     """
     n = X.n
-    extra_centers = 4 * n if extra_centers is None else as_count("extra_centers", extra_centers, 0)
+    extra_centers = 4 * n if extra_centers is None else as_sized_count(  # centers, rows, jumps
+        "extra_centers", extra_centers, 0, 8 * (2 * X.manifold.ambient_dim + 3))
     extra = X.manifold._sample(stream(seed, "discrepancy-centers"), extra_centers)
     result = _chunked_pass(X, s=s, separation=s is not None, extra=extra)
     k = int(np.argmax(result.jumps))  # first occurrence = smallest center index

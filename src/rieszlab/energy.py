@@ -208,10 +208,10 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
     alone; the reductions read the tile unmasked and overwrite the strip's
     masked entries (0 for the kernel and the gradient weights, inf for the
     separation), and the distances gather each row from its diagonal on.
-    The tile is checked for coincident pairs once (for the energy and the
-    gradient), then read by every pair reduction and the gradient before
-    the jump values sort it.  Each chunk's gradient partial is folded into
-    the totals in chunk order as it comes back.
+    The tile is checked for coincident pairs once (for the energy, the
+    distances and the gradient), then read by every pair reduction and the
+    gradient before the jump values sort it.  Each chunk's gradient partial
+    is folded into the totals in chunk order as it comes back.
     """
     m, n = X.manifold, X.n
     rows = X.coords if extra is None else np.concatenate([X.coords, extra])
@@ -239,7 +239,7 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
                 T = Q[:min(b, n) - a, lo - start:]  # T[i, j] is the pair (a + i, lo + j)
                 # a + i < lo + j fails only in the first min(b, n) - lo columns
                 upper = ~np.tri(len(T), min(b, n) - lo, a - lo, dtype=bool)
-                if s is not None or gradient is not None:
+                if s is not None or distances or gradient is not None:
                     _check_distinct(a, lo, T, upper)
                 if s is not None:
                     sums.append(_tile_row_sums(m, s, T, upper))
@@ -299,15 +299,12 @@ def punctured_mean_potential(X, i: int, s: float) -> float:
     """Mean kernel value at point i against the rest of the set, with the
     1/N normalization (not 1/(N-1))."""
     check_exponent(s, X.manifold.dim)
-    n = X.n
     center = X.point(i).coords  # checks 0 <= i < n
-    d = X.manifold.distances_from(center, X.coords)
-    others = np.delete(np.arange(n), i)
-    d = d[others]
-    zero = d <= 0.0
-    if np.any(zero):
-        raise DomainError(f"coincident points at indices {i} and {int(others[np.argmax(zero)])}")
-    return float(np.sum(d ** (-s)) / n)
+    others = np.delete(np.arange(X.n), i)
+    d = X.manifold.distances_from(center, X.coords[others])
+    if np.any(d <= 0.0):
+        raise DomainError(f"coincident points at indices {i} and {int(others[np.argmax(d <= 0.0)])}")
+    return float(np.sum(d ** (-s)) / X.n)
 
 
 def energy_via_distance_cdf(X, s: float) -> float:
@@ -316,20 +313,19 @@ def energy_via_distance_cdf(X, s: float) -> float:
     the jump-weighted kernel sum.
 
     Algebraically identical to discrete_energy; serves as a cross-check
-    of the distance-distribution representation of the energy.
+    of the distance-distribution representation of the energy.  Coincident
+    points raise a DomainError naming the offending indices.
     """
     check_exponent(s, X.manifold.dim)
     n = X.n
-    dists = pairwise_distances(X)
-    if np.any(dists <= 0.0):
-        raise DomainError("coincident points in the set")
-    radii, counts = np.unique(dists, return_counts=True)
+    radii, counts = np.unique(pairwise_distances(X), return_counts=True)
     return 2.0 * math.fsum(radii ** (-s) * counts) / (n * n)
 
 
 def pairwise_distances(X) -> np.ndarray:
     """All N(N-1)/2 pairwise geodesic distances (upper triangle, row-major),
-    gathered from the upper-triangle tiles."""
+    gathered from the upper-triangle tiles; coincident points raise a
+    DomainError naming the offending indices."""
     return _chunked_pass(X, distances=True).distances
 
 
@@ -378,11 +374,12 @@ def mean_potential(m: Manifold, x: Point, s: float) -> float:
 
 
 def small_ball_energy(m: Manifold, s: float, r: float) -> float:
-    """Integral of t^(-s) against the radial volume density over (0, r), r below the
-    injectivity radius, by a fixed 16-node Gauss-Jacobi rule, within 2e-15 relative on
-    S^1-S^7 (Manifold._small_ball_energy)."""
+    """Integral of t^(-s) against the radial volume density over (0, r), for
+    0 < r <= injectivity radius, by a fixed 16-node Gauss-Jacobi rule, within
+    2e-15 relative on S^1-S^7 (Manifold._small_ball_energy)."""
     check_exponent(s, m.dim)
-    return float(m._small_ball_energy(s, np.array([as_real("r", r, (">", 0))]))[0])
+    r = as_real("r", r, (">", 0), ("<=", m.injectivity_radius))
+    return float(m._small_ball_energy(s, np.array([r]))[0])
 
 
 # ----------------------------------------------------------------------

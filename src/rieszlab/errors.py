@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, and the three checks of the
-public counts, reals and arrays of reals.
+"""Exception hierarchy shared by all modules, and the checks of the public
+counts, reals and arrays of reals.
 
 Two failure classes are distinguished because the CLI maps them to
 different exit codes: malformed requests (exit 1) versus requests that
@@ -9,11 +9,13 @@ are well formed but land outside the numerical domain of an operation
 
 import numbers
 import operator
+import os
 import sys
 
 import numpy as np
 
 _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")  # bytes
 
 
 class RieszlabError(Exception):
@@ -37,6 +39,17 @@ def as_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def as_sized_count(name: str, value, minimum: int, item_bytes: int) -> int:
+    """as_count for a count that sizes an allocation of about item_bytes a
+    unit (the caller's tracemalloc peak, rounded up): past PHYSICAL_MEMORY
+    it is an InputError too, raised before anything is allocated."""
+    n = as_count(name, value, minimum)
+    if n * item_bytes > PHYSICAL_MEMORY:
+        raise InputError(f"{name}={n} needs {n * item_bytes / 2 ** 30:.3g} GiB, more than the "
+                         f"{PHYSICAL_MEMORY / 2 ** 30:.3g} GiB of physical memory")
+    return n
+
+
 def as_real(name: str, value, *bounds) -> float:
     """value as a float, for a tolerance or a radius: a finite real number,
     not a bool, that meets each bound, an (operator, limit) pair such as
@@ -52,14 +65,18 @@ def as_real(name: str, value, *bounds) -> float:
     raise InputError(f"{name} must be {stated}, got {value!r}")
 
 
-def as_reals(name: str, values) -> np.ndarray:
-    """values as a float array (a scalar as a 0-d array), for radii: an
-    array of integers or floats, no bools, strings or objects.  Range
-    checks, NaN's included, are the caller's."""
+def as_reals(name: str, values, *bounds) -> np.ndarray:
+    """values as a float array (a scalar as a 0-d array), for radii: integers
+    or floats, no bools, strings or objects, each meeting each bound as for
+    as_real.  A NaN fails every bound; an infinity is judged by them."""
     try:
         arr = np.asarray(values)
     except ValueError:  # a ragged nesting
         arr = None
     if arr is None or arr.dtype.kind not in "iuf":
         raise InputError(f"{name} must be real numbers, got {values!r:.60}")
-    return arr.astype(float)
+    arr = arr.astype(float)
+    if not all(np.all(_COMPARISONS[op](arr, limit)) for op, limit in bounds):
+        stated = " and ".join(f"{op} {limit}" for op, limit in bounds)
+        raise InputError(f"{name} must be {stated}, got {values!r:.60}")
+    return arr

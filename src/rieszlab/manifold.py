@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InputError, as_count, as_reals
+from .errors import DomainError, InputError, as_count, as_reals, as_sized_count
 from .rng import stream
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
@@ -193,7 +193,7 @@ class Manifold(ABC):
     def sample(self, seed: int, n: int) -> np.ndarray:
         """n i.i.d. points from the normalized volume measure, as an
         (n, ambient_dim) array; deterministic given the seed."""
-        n = as_count("n", n, 1)
+        n = as_sized_count("n", n, 1, 8 * (4 * self.ambient_dim + 2))  # the draw and its copies
         return self._sample(stream(seed, "sample-uniform"), n)
 
     def ball_volume(self, r):
@@ -202,9 +202,7 @@ class Manifold(ABC):
         Accepts a scalar or an array.  Exactly 1 for r >= diameter;
         negative and NaN radii raise.
         """
-        arr = as_reals("r", r)
-        if not np.all(arr >= 0):
-            raise InputError("ball radius must be >= 0")
+        arr = as_reals("r", r, (">=", 0))
         flat = np.atleast_1d(arr).ravel()
         out = np.ones_like(flat)
         inside = flat < self.diameter
@@ -280,15 +278,14 @@ class Manifold(ABC):
         is the property _density_scale; g - 1 is its expm1."""
 
     def _small_ball_energy(self, s, r):
-        """energy.small_ball_energy with s checked, at an array of radii r > 0
-        (past the injectivity radius taken as it): C r^(d-s) times the
-        integral of v^(d-1-s) g(r v) over (0, 1), that is C r^(d-s) / (d - s)
-        times the mean of g(r v) under the 16-node rule of the weight
-        v^(d-1-s).  A radius gets the same bits in any batch, and g = 1 (T^d)
-        gives exactly C r^(d-s) / (d - s).  Within 2e-15 relative of 30-digit
-        mpmath on S^1-S^7, r from 1e-3 to pi, s from 0.25 to d - 1/4."""
+        """energy.small_ball_energy with s checked, at an array of radii in
+        (0, injectivity radius]: C r^(d-s) times the integral of v^(d-1-s)
+        g(r v) over (0, 1), that is C r^(d-s) / (d - s) times the mean of
+        g(r v) under the 16-node rule of the weight v^(d-1-s).  A radius gets
+        the same bits in any batch, and g = 1 (T^d) gives exactly
+        C r^(d-s) / (d - s).  Within 2e-15 relative of 30-digit mpmath on
+        S^1-S^7, r from 1e-3 to pi, s from 0.25 to d - 1/4."""
         d = self.dim
-        r = np.minimum(r, self.injectivity_radius)
         mean = _gauss_sum(lambda v: np.exp(self._log_density(v * r)), d - 1.0 - s, 16)
         return self._density_scale * r ** (d - s) * mean / (d - s)
 
@@ -503,11 +500,6 @@ class FlatTorus(Manifold):
     def _log_density(self, t):
         return np.zeros_like(t)  # g = 1: exactly Euclidean below r = 1/2
 
-    def _small_ball_energy(self, s, r):
-        if np.any(r > 0.5):
-            raise InputError("torus small-ball energy requires r <= 1/2")
-        return super()._small_ball_energy(s, r)
-
     def _ball_volume(self, r):
         return self.volume_from_sq(r * r)
 
@@ -529,11 +521,9 @@ class FlatTorus(Manifold):
     def _t2_large(r):
         # disc of radius r intersected with the centered unit square:
         # pi r^2 minus the four circular segments beyond the edges.
-        # Exact for 1/2 < r <= sqrt(2)/2; corner overlaps cannot occur
-        # below the diameter.
-        r = np.minimum(r, SQRT2_2)
-        seg = r * r * np.arccos(np.minimum(1.0, 0.5 / r)) - 0.5 * np.sqrt(
-            np.maximum(0.0, r * r - 0.25))
+        # Exact for 1/2 <= r <= sqrt(2)/2, where 0.5 / r <= 1 and r * r >= 1/4
+        # after rounding too; corner overlaps cannot occur below the diameter.
+        seg = r * r * np.arccos(0.5 / r) - 0.5 * np.sqrt(r * r - 0.25)
         v = math.pi * r * r - 4.0 * seg
         return np.minimum(v, 1.0)
 
@@ -558,7 +548,6 @@ class FlatTorus(Manifold):
         return _gauss_sum(slab, 0.0, 20)
 
     def _t3_large(self, r):
-        r = np.minimum(r, SQRT3_2)
         h = r - 0.5
         cap = math.pi * h * h * (3.0 * r - h) / 3.0
         v = 4.0 * math.pi * r ** 3 / 3.0 - 6.0 * cap
@@ -605,11 +594,9 @@ def euclidean_ball_volume(d: int, r):
     """Volume of the Euclidean d-ball of radius r: c_d r^d, computed as
     c_d (r^2)^(d/2), the form the torus volume takes below radius 1/2."""
     d = as_count("d", d, 1)
-    arr = as_reals("r", r)
-    if not np.all(arr >= 0):
-        raise InputError("ball radius must be >= 0")
+    arr = as_reals("r", r, (">=", 0))
     out = _unit_ball_volume(d) * (arr * arr) ** (d / 2.0)
-    return float(out) if np.isscalar(r) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 @functools.cache

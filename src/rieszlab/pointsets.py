@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import energy as _energy
-from .errors import DomainError, InputError, as_count, as_real
+from .errors import DomainError, InputError, as_count, as_real, as_sized_count
 from .manifold import FlatTorus, Manifold, Point, Sphere, sample_uniform
 from .rng import stream
 
@@ -40,7 +40,7 @@ class PointSet:
             raise InputError(
                 f"coordinates must have shape (n, {manifold.ambient_dim}), got {arr.shape}")
         if arr.shape[0] < 1:
-            raise InputError("a point set needs at least one point")
+            raise InputError("coordinates must hold at least one point")
         if not np.all(np.isfinite(arr)):
             raise InputError("non-finite coordinates")
         self._fill(manifold, manifold._normalize(arr), provenance)
@@ -64,7 +64,7 @@ class PointSet:
     def point(self, i: int) -> Point:
         i = as_count("i", i, 0)
         if i >= self.n:
-            raise InputError(f"index {i} out of range for a set of {self.n} points")
+            raise InputError(f"i must be < {self.n}, the number of points, got {i}")
         return Point(self.coords[i].copy())
 
     def __len__(self):
@@ -150,7 +150,7 @@ def _separation_report(X: PointSet, q, pair) -> SeparationReport:
 def fibonacci_sphere(n: int) -> PointSet:
     """Spiral lattice on S^2: z_k = 1 - (2k+1)/n, longitude stepped by the
     golden-ratio conjugate."""
-    n = as_count("n", n, 1)
+    n = as_sized_count("n", n, 1, 128)  # sixteen float arrays of n
     m = Sphere(2)
     k = np.arange(n)
     z = 1.0 - (2.0 * k + 1.0) / n
@@ -170,7 +170,7 @@ def kronecker_torus(d: int, n: int) -> PointSet:
     """Kronecker sequence x_k = k * alpha mod 1 on T^d with badly
     approximable irrational steps."""
     m = FlatTorus(d)
-    n = as_count("n", n, 1)
+    n = as_sized_count("n", n, 1, 8 * (4 * m.dim + 1))  # the index and the coordinates' copies
     coords = (np.arange(n)[:, None] * kronecker_alphas(m.dim)[None, :]) % 1.0
     return PointSet(m, coords, provenance={"generator": "kronecker", "d": m.dim, "n": n})
 
@@ -186,10 +186,11 @@ def farthest_point_sample(m: Manifold, n: int, seed: int, candidate_pool: int | 
     reach (plus rounding slack) is rescored: the picks are those of a
     rescan of the whole pool.
     """
-    n = as_count("n", n, 1)
+    row = 8 * (3 * m.ambient_dim + 4)  # a candidate's coordinates and copies, best, order
+    n = as_sized_count("n", n, 1, 10 * row)  # the pool holds at least 10 n candidates
     if candidate_pool is None:
         candidate_pool = max(10 * n, 1024)
-    candidate_pool = as_count("candidate_pool", candidate_pool, 10 * n)
+    candidate_pool = as_sized_count("candidate_pool", candidate_pool, 10 * n, row)
     rng = stream(seed, "farthest-point-sample")
     start = m._sample(rng, 1)[0]
     chosen = [start]

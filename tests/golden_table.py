@@ -7,7 +7,10 @@ table.  As a script this module reruns the list in a temporary directory and
 prints each output's md5, for an exact comparison of two source trees:
 
     PYTHONPATH=src python tests/golden_table.py            # md5 of each output
+    PYTHONPATH=src python tests/golden_table.py --check    # exit 1 unless bytes match
     PYTHONPATH=src python tests/golden_table.py --write    # regenerate the table
+
+--check names on stderr each output whose bytes differ from tests/golden/.
 
 A change that moves a default output on purpose regenerates the table and
 names each changed file, with the reason, in CHANGES.md.
@@ -82,6 +85,12 @@ def run_commands(workdir) -> dict:
     return outputs
 
 
+def differing(outputs) -> list:
+    """The names of the outputs whose bytes differ from the table's."""
+    return [name for name in OUTPUTS
+            if outputs[name].encode("utf-8") != (GOLDEN / name).read_bytes()]
+
+
 def main(argv) -> int:
     os.environ["RIESZ_THREADS"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
@@ -91,7 +100,10 @@ def main(argv) -> int:
         print(f"{hashlib.md5(text.encode('utf-8')).hexdigest()}  {name}")
         if "--write" in argv:
             (GOLDEN / name).write_text(text, encoding="utf-8")
-    return 0
+    changed = differing(outputs) if "--check" in argv else []
+    for name in changed:
+        print(f"differs from tests/golden/: {name}", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

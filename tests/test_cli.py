@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -32,6 +33,12 @@ def test_roundtrip_full_precision(tmp_path):
     Y = load_pointset(path)
     assert np.array_equal(X.coords, Y.coords)
     assert Y.manifold == X.manifold
+
+
+def test_load_reads_stdin_for_a_dash(monkeypatch):
+    X = fibonacci_sphere(16)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(format_pointset(X)))
+    assert np.array_equal(load_pointset("-").coords, X.coords)
 
 
 def test_roundtrip_torus(tmp_path):
@@ -167,6 +174,10 @@ def test_rate_config_parsing_errors(tmp_path):
     with pytest.raises(InputError):
         parse_rate_config("manifold=sphere\ndim=2\ns=1.0\ngenerator=fibonacci\n"
                           "ns=32\nbogus_key=1\n")
+    with pytest.raises(InputError, match="^config line 2 is not key=value"):
+        parse_rate_config("manifold=sphere\ndim 2\n")
+    with pytest.raises(InputError, match="^config needs either ns="):
+        parse_rate_config("manifold=sphere\ndim=2\ns=1.0\ngenerator=fibonacci\n")
     cfg = parse_rate_config("manifold=torus\ndim=1\ns=0.5\ngenerator=kronecker\n"
                             "n_min=32\nn_max=128\n# comment\n")
     assert cfg.ns == [32, 64, 128]
@@ -245,6 +256,8 @@ def test_generate_negative_seed_exits_one(tmp_path, capsys):
     ("# manifold=flat-torus dim=one\n# n=1 seed=0", "dim='one'"),
     ("# manifold=flat-torus dim=1\n# n=1x seed=0", "n='1x'"),
     ("# manifold=flat-torus dim=1\n# n=1 seed=abc", "seed='abc'"),
+    ("# rieszlab pointset format=2\n# manifold=flat-torus dim=1\n# n=1",
+     "unsupported point-set format '2'"),
 ])
 def test_pointset_header_malformed_number_exits_one(tmp_path, capsys, header, bad):
     pts = tmp_path / "p.txt"
@@ -278,6 +291,9 @@ def test_no_subcommand_exits_one(capsys):
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(["energy", "--in", "/nonexistent/file.txt", "--s", "1"], capsys)
     assert code == 1
+    code, _, err = run_cli(["rate", "--config", "/nonexistent/rate.cfg"], capsys)
+    assert code == 1
+    assert err.startswith("error: cannot read config /nonexistent/rate.cfg")
 
 
 def test_bad_exponent_exits_two(tmp_path, capsys):

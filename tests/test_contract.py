@@ -11,13 +11,18 @@ hostile value can start large work.
 import inspect
 import math
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rieszlab as rl
+from rieszlab import errors
+from rieszlab.cli import cli_dispatch
 from rieszlab.energy import small_ball_energy
+from rieszlab.pointsets import generate_pointset
 from rieszlab.verify import geometric_grid
 
 S2 = rl.sphere(2)
@@ -156,6 +161,9 @@ PROBES = [
     ("r", lambda: small_ball_energy(S2, 1.0, None)),
     ("r", lambda: rl.ball_volume(S2, "a")),
     ("radii", lambda: rl.check_small_ball_bounds(S2, 1.0, ["a"])),
+    # a radius past the injectivity radius returned the value at it
+    ("r", lambda: small_ball_energy(S2, 1.0, 4.0)),
+    ("r", lambda: small_ball_energy(T2, 1.0, 0.75)),
 ]
 
 # Exponents that gave a silent result: an infinite s, which the kernel
@@ -178,6 +186,11 @@ HELD = [
     (rl.DomainError, "s", lambda: rl.energy_rate_exponent(2, 3.0)),
     (rl.DomainError, "s", lambda: rl.discrete_energy(X, math.inf)),
     (rl.DomainError, "s", lambda: rl.minimize_riesz_energy(X, 0.0, max_iters=3)),
+    (rl.InputError, "coordinates", lambda: rl.PointSet(S2, [[1.0, 0.0]])),
+    (rl.InputError, "coordinates", lambda: rl.PointSet(S2, np.zeros((0, 3)))),
+    (rl.InputError, "i", lambda: X.point(8)),
+    (rl.InputError, "r", lambda: rl.ball_volume(S2, [[0.1, 0.2], [0.3]])),
+    (rl.InputError, "generator", lambda: generate_pointset(S2, "kronecker", 4, 0)),
 ]
 
 
@@ -207,6 +220,64 @@ def test_checks_that_held_keep_their_error(error, argument, call):
         call()
     assert type(info.value) is error
     assert _names(argument, info.value), str(info.value)
+
+
+# Counts whose allocation exceeds the physical memory: each must fail before
+# anything is allocated.  The memory is pinned at 8 GiB (eight_gib), so the
+# probes fail the same way on a host with more, where they could allocate.
+FARTHEST_POINT_CLI = ["generate", "--manifold", "sphere", "--dim", "2", "--gen",
+                      "farthest-point", "--n", "100000000"]
+SIZE_PROBES = [
+    ("pool_size", lambda v: rl.packing_number(S2, POLE, 1.0, 0.5, 0, v)),
+    ("extra_centers", lambda v: rl.estimate_discrepancy(X, v)),
+    ("n", lambda v: rl.sample_uniform(S2, 0, v)),
+    ("n", lambda v: rl.farthest_point_sample(S2, v, 0)),
+    ("candidate_pool", lambda v: rl.farthest_point_sample(S2, 8, 0, v)),
+    ("n", lambda v: rl.fibonacci_sphere(v)),
+    ("n", lambda v: rl.kronecker_torus(2, v)),
+    ("count", lambda v: geometric_grid(0.1, 1.0, v)),
+]
+
+
+@pytest.fixture
+def eight_gib(monkeypatch):
+    monkeypatch.setattr(errors, "PHYSICAL_MEMORY", 8 << 30)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("value", [10 ** 12, 10 ** 15])
+@pytest.mark.parametrize("argument,call", SIZE_PROBES)
+def test_count_past_the_memory_is_an_input_error_before_allocating(eight_gib, argument,
+                                                                   call, value):
+    def run():
+        with pytest.raises(rl.InputError) as info:
+            call(value)
+        assert type(info.value) is rl.InputError
+        assert _names(argument, info.value), str(info.value)
+
+    assert _peak_bytes(run) < 1 << 20
+
+
+def test_farthest_point_generate_past_the_memory_exits_one(eight_gib, capsys):
+    # a default pool of 10^9 points of S^2
+    assert _peak_bytes(lambda: cli_dispatch(FARTHEST_POINT_CLI)) < 1 << 20
+    assert re.match(r"error: n=100000000 needs [\d.]+ GiB", capsys.readouterr().err)
+
+
+def test_count_within_the_memory_passes_the_budget():
+    assert errors.PHYSICAL_MEMORY > 0
+    assert errors.as_sized_count("n", 16, 1, errors.PHYSICAL_MEMORY // 16) == 16
+    with pytest.raises(rl.InputError, match="^n=17 needs"):
+        errors.as_sized_count("n", 17, 1, errors.PHYSICAL_MEMORY // 16)
 
 
 def test_real_too_large_for_a_float_is_an_input_error():

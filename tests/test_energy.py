@@ -100,6 +100,10 @@ def test_coincident_points_error_names_indices():
     X = PointSet(m, [[0.1], [0.4], [0.1]])
     with pytest.raises(DomainError, match="0 and 2"):
         discrete_energy(X, 0.5)
+    with pytest.raises(DomainError, match="indices 0 and 2"):
+        energy_via_distance_cdf(X, 0.5)
+    with pytest.raises(DomainError, match="indices 2 and 0"):
+        punctured_mean_potential(X, 2, 0.5)
     # both points of the pair lie in the second 256-row block
     coords = sample_uniform(flat_torus(2), 3, 300).coords.copy()
     coords[290] = coords[270]

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from golden_table import GOLDEN, OUTPUTS, run_commands
+from golden_table import GOLDEN, OUTPUTS, differing, run_commands
 
 ULPS = 4
 
@@ -79,6 +79,14 @@ def test_default_output_matches_table(outputs, name):
     want = _parse(name, (GOLDEN / name).read_text(encoding="utf-8"))
     diffs = _differences(_parse(name, outputs[name]), want)
     assert not diffs, f"{name}: " + "; ".join(diffs[:5])
+
+
+def test_check_names_each_output_whose_bytes_differ():
+    table = {name: (GOLDEN / name).read_text(encoding="utf-8") for name in OUTPUTS}
+    assert differing(table) == []
+    table["sep_s2.json"] += " "
+    table["rate_t2.csv"] = table["rate_t2.csv"].replace("\n", "\r\n")
+    assert differing(table) == ["sep_s2.json", "rate_t2.csv"]
 
 
 def test_float_comparison_allows_ulps_only():

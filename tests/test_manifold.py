@@ -34,6 +34,7 @@ def test_distance_zero_on_identical(m):
 def test_torus_wraparound_distance():
     m = flat_torus(1)
     assert geodesic_distance(m, m.point([0.1]), m.point([0.9])) == pytest.approx(0.2, abs=1e-15)
+    assert m.point(0.3).coords.tolist() == [0.3]  # a bare number is a point of T^1
 
 
 def test_distance_rejects_bad_points():
@@ -143,6 +144,8 @@ def test_torus2_small_disc():
 def test_ball_volume_one_at_diameter(m):
     assert ball_volume(m, m.diameter) == 1.0
     assert ball_volume(m, m.diameter * 2) == 1.0
+    assert ball_volume(m, math.inf) == 1.0
+    assert ball_volume(m, [0.0, math.inf]).tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("m", ALL_MANIFOLDS)

@@ -94,11 +94,12 @@ def test_flatness_grid_validation():
 
 
 @pytest.mark.parametrize("check,message", [
-    (lambda m, radii: check_ball_volume_flatness(m, radii), "flatness grid must lie inside"),
-    (lambda m, radii: check_small_ball_bounds(m, 0.5, radii), "grid must lie inside (0, r_max]"),
-    (lambda m, radii: check_large_ball_bounds(m, radii), "grid must lie inside (0, diameter]"),
+    (lambda m, radii: check_ball_volume_flatness(m, radii),
+     f"radii must be > 0 and < {math.pi}"),
+    (lambda m, radii: check_small_ball_bounds(m, 0.5, radii), "radii must be > 0 and <= 0.5"),
+    (lambda m, radii: check_large_ball_bounds(m, radii), f"radii must be > 0 and <= {math.pi}"),
     (lambda m, radii: check_small_ball_energy(m, 1.0, radii, r_max=0.5),
-     "grid must lie inside (0, r_max]"),
+     "radii must be > 0 and <= 0.5"),
 ], ids=["flatness", "small-ball", "large-ball", "small-ball-energy"])
 def test_nan_radius_fails_grid_check(check, message):
     with pytest.raises(InputError, match=re.escape(message)):
