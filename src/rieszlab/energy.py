@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InputError, as_count, as_real, as_reals
+from .errors import DomainError, InputError, as_count, as_real, as_reals, as_sized_count
 from .manifold import Manifold, Point, _gauss_rule, sum_of_squares
 from .parallel import chunk_ranges, map_ordered
 
@@ -318,6 +318,8 @@ def energy_via_distance_cdf(X, s: float) -> float:
     """
     check_exponent(s, X.manifold.dim)
     n = X.n
+    # the distances and np.unique's sorted copy, flags and counts: 41 bytes a pair
+    as_sized_count("pairs", n * (n - 1) // 2, 0, 41)
     radii, counts = np.unique(pairwise_distances(X), return_counts=True)
     return 2.0 * math.fsum(radii ** (-s) * counts) / (n * n)
 

@@ -169,36 +169,31 @@ def check_large_ball_bounds(m: Manifold, radii=None) -> BoundCheckReport:
 # packing bound: greedy packings never exceed C2 (r/q)^d
 # ----------------------------------------------------------------------
 
+def _packing_pool(m: Manifold, xc: np.ndarray, r: float, n: int, rng) -> np.ndarray:
+    """n points of B(xc, r): exp at xc of tangent vectors with a uniform
+    direction (projected Gaussians; Muller, Comm. ACM 2 (1959) 19-20) and
+    lengths r U^(1/d).  exp maps that tangent ball onto B(xc, r), so every
+    point of the ball can be drawn, but the pool is not volume-uniform."""
+    v = m._project_tangent(xc, rng.standard_normal((n, m.ambient_dim)))
+    v *= (r * rng.random(n) ** (1.0 / m.dim) / np.linalg.norm(v, axis=1))[:, None]
+    return m.exp_array(xc, v)
+
+
 def packing_number(m: Manifold, x: Point, r: float, q: float, pool_seed: int,
                    pool_size: int = 4096) -> int:
     """Greedy lower bound on the number of disjoint q/2-balls inside
-    B(x, r + q/2): centers are drawn from a seeded dense uniform pool
-    restricted to B(x, r), visited by decreasing distance from x, and
-    accepted when at least q away from every earlier acceptance.
+    B(x, r + q/2): centers from a seeded pool of pool_size points of B(x, r)
+    (_packing_pool), visited by decreasing distance from x, and accepted
+    when at least q away from every earlier acceptance.
     """
     q = as_real("q", q, (">", 0))
     r = as_real("r", r, (">", q), ("<=", m.diameter))
-    # a batch of max(1024, pool_size) points, their distances and the pool
-    pool_size = as_sized_count("pool_size", pool_size, 1, 8 * (3 * m.ambient_dim + 7))
+    # the draw, its lengths, the pool, exp_array's temporaries, the distances,
+    # the order and free: at most 4 ambient_dim + 5 words a point on S^1-S^9, T^1-T^9
+    pool_size = as_sized_count("pool_size", pool_size, 1, 8 * (4 * m.ambient_dim + 5))
     rng = stream(as_count("pool_seed", pool_seed, 0), "packing-pool")
     xc = np.asarray(x.coords, dtype=float)
-    pool = []
-    need = pool_size
-    batch_size = max(1024, pool_size)
-    # enough batches to expect twice the pool; the radius is clipped to the
-    # injectivity radius, below which ball_volume is defined on every T^d
-    hit_rate = m.ball_volume(min(r, m.injectivity_radius))
-    for _ in range(max(200, math.ceil(2 * pool_size / (batch_size * hit_rate)))):
-        batch = m._sample(rng, batch_size)
-        inside = batch[m.distances_from(xc, batch) <= r]
-        if len(inside):
-            pool.append(inside)
-            need -= len(inside)
-        if need <= 0:
-            break
-    if need > 0:
-        raise InputError("could not fill the candidate pool; ball volume too small")
-    pool = np.concatenate(pool)[:pool_size]
+    pool = _packing_pool(m, xc, r, pool_size, rng)
     order = np.argsort(-m.distances_from(xc, pool), kind="stable")
     # free marks the candidates at least q from every acceptance so far;
     # sq_dist is bitwise symmetric, so each decision is the per-candidate one

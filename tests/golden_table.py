@@ -11,6 +11,8 @@ prints each output's md5, for an exact comparison of two source trees:
     PYTHONPATH=src python tests/golden_table.py --write    # regenerate the table
 
 --check names on stderr each output whose bytes differ from tests/golden/.
+--write prints, for each output it rewrites, every path whose value moved,
+as old -> new (floats within test_golden's ULPS count as unmoved).
 
 A change that moves a default output on purpose regenerates the table and
 names each changed file, with the reason, in CHANGES.md.
@@ -91,19 +93,29 @@ def differing(outputs) -> list:
             if outputs[name].encode("utf-8") != (GOLDEN / name).read_bytes()]
 
 
+def moves(name, text) -> list:
+    """The paths where the output text moved from the table's, as
+    "path: old -> new"."""
+    from test_golden import _differences, _parse
+
+    return _differences(_parse(name, text), _parse(name, (GOLDEN / name).read_text(encoding="utf-8")))
+
+
 def main(argv) -> int:
     os.environ["RIESZ_THREADS"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
         outputs = run_commands(tmp)
     for name in OUTPUTS:
-        text = outputs[name]
-        print(f"{hashlib.md5(text.encode('utf-8')).hexdigest()}  {name}")
-        if "--write" in argv:
-            (GOLDEN / name).write_text(text, encoding="utf-8")
-    changed = differing(outputs) if "--check" in argv else []
+        print(f"{hashlib.md5(outputs[name].encode('utf-8')).hexdigest()}  {name}")
+    changed = differing(outputs) if "--check" in argv or "--write" in argv else []
     for name in changed:
-        print(f"differs from tests/golden/: {name}", file=sys.stderr)
-    return 1 if changed else 0
+        if "--write" in argv:
+            for move in moves(name, outputs[name]) or ["bytes only, every value within ULPS"]:
+                print(f"{name} {move}")
+            (GOLDEN / name).write_text(outputs[name], encoding="utf-8")
+        else:
+            print(f"differs from tests/golden/: {name}", file=sys.stderr)
+    return 1 if changed and "--check" in argv else 0
 
 
 if __name__ == "__main__":

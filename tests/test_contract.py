@@ -273,6 +273,18 @@ def test_farthest_point_generate_past_the_memory_exits_one(eight_gib, capsys):
     assert re.match(r"error: n=100000000 needs [\d.]+ GiB", capsys.readouterr().err)
 
 
+def test_distance_cdf_past_the_memory_is_an_input_error_before_the_pass(eight_gib):
+    # 10^5 points hold 4,999,950,000 pairs at 41 bytes each; trusted
+    # coordinates, so that no pass runs to check them
+    X = rl.PointSet._trusted(T2, np.random.default_rng(0).random((100_000, 2)))
+
+    def run():
+        with pytest.raises(rl.InputError, match=r"^pairs=4999950000 needs"):
+            rl.energy_via_distance_cdf(X, 1.0)
+
+    assert _peak_bytes(run) < 1 << 20
+
+
 def test_count_within_the_memory_passes_the_budget():
     assert errors.PHYSICAL_MEMORY > 0
     assert errors.as_sized_count("n", 16, 1, errors.PHYSICAL_MEMORY // 16) == 16

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from golden_table import GOLDEN, OUTPUTS, differing, run_commands
+from golden_table import GOLDEN, OUTPUTS, differing, moves, run_commands
 
 ULPS = 4
 
@@ -36,23 +36,24 @@ def _token(text):
 
 
 def _differences(got, want, where="$"):
-    """Places where got and want differ, floats compared within ULPS."""
+    """Places where got and want differ, floats compared within ULPS, each
+    as "path: want -> got"."""
     numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (got, want)]
     if all(numbers) and float in (type(got), type(want)):
         # a point file writes a float with an integral value, 1.0, as "1"
-        return [] if _same_float(float(got), float(want)) else [f"{where}: {got!r} != {want!r}"]
+        return [] if _same_float(float(got), float(want)) else [f"{where}: {want!r} -> {got!r}"]
     if type(got) is not type(want):
-        return [f"{where}: {got!r} != {want!r}"]
+        return [f"{where}: {want!r} -> {got!r}"]
     if isinstance(want, dict):
         if sorted(got) != sorted(want):
-            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+            return [f"{where}: keys {sorted(want)} -> {sorted(got)}"]
         return [d for k in want for d in _differences(got[k], want[k], f"{where}.{k}")]
     if isinstance(want, list):
         if len(got) != len(want):
-            return [f"{where}: length {len(got)} != {len(want)}"]
+            return [f"{where}: length {len(want)} -> {len(got)}"]
         return [d for i, (g, w) in enumerate(zip(got, want))
                 for d in _differences(g, w, f"{where}[{i}]")]
-    return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+    return [] if got == want else [f"{where}: {want!r} -> {got!r}"]
 
 
 def _parse(name, text):
@@ -78,7 +79,7 @@ def test_table_lists_every_output():
 def test_default_output_matches_table(outputs, name):
     want = _parse(name, (GOLDEN / name).read_text(encoding="utf-8"))
     diffs = _differences(_parse(name, outputs[name]), want)
-    assert not diffs, f"{name}: " + "; ".join(diffs[:5])
+    assert not diffs, f"{name}, table -> now: " + "; ".join(diffs[:5])
 
 
 def test_check_names_each_output_whose_bytes_differ():
@@ -87,6 +88,13 @@ def test_check_names_each_output_whose_bytes_differ():
     table["sep_s2.json"] += " "
     table["rate_t2.csv"] = table["rate_t2.csv"].replace("\n", "\r\n")
     assert differing(table) == ["sep_s2.json", "rate_t2.csv"]
+
+
+def test_moves_name_each_moved_value_old_to_new():
+    report = json.loads((GOLDEN / "verify_s2.json").read_text(encoding="utf-8"))
+    report["s"], report["checks"][0]["passed"] = 2.0, False
+    assert moves("verify_s2.json", json.dumps(report)) == [
+        "$.s: 1.0 -> 2.0", "$.checks[0].passed: True -> False"]
 
 
 def test_float_comparison_allows_ulps_only():

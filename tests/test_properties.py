@@ -3,7 +3,8 @@ needs a quadrature, the edge overlaps beyond r = sqrt(2)/2, and on S^1-S^3,
 T^1 and T^2), of the energy gradient, the energy and the separation under a
 permutation of the points, of the energy, the separation and the discrepancy
 under an isometry, of the symmetry of the axis deltas and the squared
-distances, and of the small-ball energy on S^1-S^5, T^2 and T^3."""
+distances, of the small-ball energy on S^1-S^5, T^2 and T^3, and of the
+packing pool on S^1-S^5 and T^1-T^3."""
 
 import math
 
@@ -17,7 +18,9 @@ from rieszlab import (PointSet, ball_volume, discrete_energy, energy_gradient,
                       kronecker_torus, min_geodesic_distance, sample_uniform, sphere)
 from rieszlab.energy import small_ball_energy
 from rieszlab.manifold import SQRT2_2, SQRT3_2
+from rieszlab.verify import _packing_pool
 from test_tiles import _cut_band_sets
+from test_verify import _independent_distances
 
 T3 = flat_torus(3)
 # the closed form adds terms up to 4 pi / 3 (sqrt(3)/2)^3 ~ 2.7 to reach a
@@ -214,3 +217,23 @@ def test_torus_small_ball_energy_is_closed_form(d, fraction, r):
     c_d = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
     exact = d * c_d * r ** (d - s) / (d - s)
     assert small_ball_energy(flat_torus(d), s, r) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+POOL_MANIFOLDS = {**{f"S{d}": sphere(d) for d in range(1, 6)},
+                  **{f"T{d}": flat_torus(d) for d in range(1, 4)}}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(POOL_MANIFOLDS)), st.integers(0, 2 ** 32 - 1),
+       st.floats(min_value=0.01, max_value=1.0))
+@example("T2", 0, 1.0)
+@example("T3", 1, 0.7)
+@example("S5", 2, 1.0)
+def test_packing_pool_lies_in_the_ball(name, seed, fraction):
+    # radii from 1% of the diameter, torus radii past 1/2 among them: the
+    # coordinates round by about 1e-16, more than 1e-12 r below r = 1e-4
+    m = POOL_MANIFOLDS[name]
+    rng = np.random.default_rng(seed)
+    x, r = m._sample(rng, 1)[0], fraction * m.diameter
+    pool = _packing_pool(m, x, r, 64, rng)
+    assert np.all(_independent_distances(m, x, pool) <= r * (1.0 + 1e-12))

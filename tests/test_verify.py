@@ -1,16 +1,20 @@
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from rieszlab import (DomainError, InputError, check_ball_volume_flatness,
+from rieszlab import (DomainError, InputError, Sphere, check_ball_volume_flatness,
                       check_large_ball_bounds, check_mean_potential_holder,
                       check_packing_bound, check_small_ball_bounds,
                       check_small_ball_energy, energy_rate_exponent,
                       flat_torus, holder_exponent, packing_number, sphere)
 from rieszlab.rng import stream
-from rieszlab.verify import geometric_grid
+from rieszlab.verify import _packing_pool, geometric_grid
+
+from cli_env import cli_env
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +221,8 @@ def test_packing_accepts_numpy_integer_sizes():
 
 
 def test_packing_fills_pool_on_small_high_dimensional_cap():
-    # a 0.15*pi cap holds 0.35% of S^5: 200 batches of 4096 expect ~2,900 of 4,096 hits
+    # a 0.15*pi cap holds 0.35% of S^5; the pool is drawn inside it, so all
+    # 4,096 draws are candidates however small the cap
     m = sphere(5)
     count = packing_number(m, m.origin(), 0.15 * math.pi, 0.05 * math.pi, pool_seed=0)
     assert count >= 1
@@ -229,23 +234,14 @@ def test_sphere_packing_under_volume_bound():
     large = check_large_ball_bounds(m)
     c2 = 9.0 * large.constants["c_top"] / large.constants["c_bot"]
     assert count <= c2 * (0.5 / 0.05) ** 2
-    assert count == 255  # frozen greedy regression
+    assert count == 257  # frozen greedy regression
 
 
 def _reference_packing(m, x, r, q, pool_seed, pool_size):
     """The per-candidate greedy on packing_number's seeded pool: each
     candidate, by decreasing distance from x, is tested against every
     earlier acceptance."""
-    rng = stream(pool_seed, "packing-pool")
-    batch_size = max(1024, pool_size)
-    hit_rate = m.ball_volume(min(r, m.injectivity_radius))
-    pool = []
-    for _ in range(max(200, math.ceil(2 * pool_size / (batch_size * hit_rate)))):
-        batch = m._sample(rng, batch_size)
-        pool.extend(batch[m.distances_from(x.coords, batch) <= r])
-        if len(pool) >= pool_size:
-            break
-    pool = np.array(pool[:pool_size])
+    pool = _packing_pool(m, x.coords, r, pool_size, stream(pool_seed, "packing-pool"))
     accepted = []
     for idx in np.argsort(-m.distances_from(x.coords, pool), kind="stable"):
         c = pool[idx]
@@ -264,6 +260,43 @@ def test_packing_matches_per_candidate_greedy(m, cases):
         count = packing_number(m, x, r, q, pool_seed=pool_seed, pool_size=1024)
         assert count > 1
         assert count == _reference_packing(m, x, r, q, pool_seed, 1024)
+
+
+def test_packing_on_a_tiny_cap_returns_at_once():
+    # a rejection draw from the whole sphere would need about 6e13 draws
+    # to find 16 points of this cap; a child process, so that a draw that
+    # never ends fails the test instead of hanging the suite
+    code = ("import time\nimport rieszlab as rl\nm = rl.sphere(2)\nt = time.perf_counter()\n"
+            "n = rl.packing_number(m, m.origin(), 1e-6, 1e-7, 0, 16)\n"
+            "print(n, time.perf_counter() - t)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(1), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, seconds = proc.stdout.split()
+    assert 1 <= int(count) <= 16
+    assert float(seconds) < 1.0
+
+
+def _independent_distances(m, x, pool):
+    """Geodesic distances from x to the rows of pool, not through sq_dist:
+    2 atan(|y - x| / |y + x|) on S^d, the wrapped Euclidean length on T^d."""
+    if isinstance(m, Sphere):
+        return 2.0 * np.arctan2(np.linalg.norm(pool - x, axis=1), np.linalg.norm(pool + x, axis=1))
+    delta = pool - x
+    return np.linalg.norm(delta - np.round(delta), axis=1)
+
+
+@pytest.mark.parametrize("m,r", [(sphere(2), 1.0), (sphere(2), 2.5), (sphere(5), 1.0),
+                                 (sphere(5), 2.5), (flat_torus(2), 0.3), (flat_torus(3), 0.45)],
+                         ids=["S2-1.0", "S2-2.5", "S5-1.0", "S5-2.5", "T2-0.3", "T3-0.45"])
+def test_packing_pool_lengths_follow_the_tangent_ball_law(m, r):
+    # lengths r U^(1/d) put 2^-d of the pool within r/2, where the distance
+    # is the length (on T^d while r <= 1/2: past it wrapping shortens some)
+    n, p = 20000, 2.0 ** -m.dim
+    x = m._sample(stream(5, "packing-law"), 1)[0]
+    pool = _packing_pool(m, x, r, n, stream(6, "packing-law"))
+    inner = int(np.count_nonzero(_independent_distances(m, x, pool) <= r / 2))
+    assert abs(inner - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
 
 
 @pytest.mark.parametrize("m", [sphere(2), flat_torus(2)])
