@@ -6,7 +6,8 @@ numerical-domain error (coincident points, exponent outside (0, d)).
 
 Point sets travel as a small text format: '#'-prefixed key=value header
 lines followed by one whitespace-separated coordinate row per point,
-printed with 17 significant digits so save/load round-trips are lossless.
+printed with 17 significant digits.  Loading keeps every row already on
+the manifold (as PointSet does), so save/load round-trips are lossless.
 """
 
 from __future__ import annotations

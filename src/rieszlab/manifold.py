@@ -256,7 +256,7 @@ class Manifold(ABC):
     @abstractmethod
     def _normalize(self, coords: np.ndarray) -> np.ndarray:
         """Validate and normalize (or wrap) the rows of an (n, ambient_dim)
-        array onto the manifold."""
+        array onto the manifold; rows already on it keep their bits."""
 
     @abstractmethod
     def _sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -358,10 +358,13 @@ class Sphere(Manifold):
 
     def _normalize(self, coords):
         norms = np.linalg.norm(coords, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            bad = int(np.argmax(np.abs(norms - 1.0)))
+        off = np.abs(norms - 1.0)
+        if np.any(off > 1e-6):
+            bad = int(np.argmax(off))
             raise InputError(f"sphere point {bad} has norm {norms[bad]:.6g}, too far from 1")
-        return coords / norms[:, None]
+        # a divided row lands within 2 eps of norm 1, so rows within 4 eps = 2^-50
+        # are kept (divided by 1.0): normalizing a set twice keeps its bits
+        return coords / np.where(off > 2.0 ** -50, norms, 1.0)[:, None]
 
     def _project_tangent(self, base, vec):
         return vec - np.sum(base * vec, axis=-1, keepdims=True) * base
@@ -371,8 +374,9 @@ class Sphere(Manifold):
     distances_from = Manifold.distances_from
 
     def dist_from_sq(self, q):
-        # 2 atan(|x - y| / |x + y|) is accurate at every angle, arccos(<x, y>)
-        # is not; q = 4 (or a rounded q > 4) divides by zero into atan(inf) = pi/2
+        # 2 atan(|x - y| / |x + y|) with |x + y|^2 = 4 - q, which cancels near
+        # the antipode (_log_lengths keeps those digits); q = 4 (or a rounded
+        # q > 4) divides by zero into atan(inf) = pi/2
         q = _contiguous(q)
         with np.errstate(divide="ignore"):
             return 2.0 * np.arctan(np.sqrt(q / np.maximum(4.0 - q, 0.0)))
@@ -381,8 +385,7 @@ class Sphere(Manifold):
         theta = np.linalg.norm(vec, axis=1)
         safe = np.where(theta > 0.0, theta, 1.0)
         moved = np.cos(theta)[:, None] * base + np.sin(theta)[:, None] * vec / safe[:, None]
-        out = np.where(theta[:, None] > 0.0, moved, base)
-        return out / np.linalg.norm(out, axis=1, keepdims=True)
+        return self._normalize(np.where(theta[:, None] > 0.0, moved, base))
 
     def _sample(self, rng, n):
         v = rng.standard_normal((n, self.ambient_dim))

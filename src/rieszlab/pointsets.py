@@ -31,7 +31,8 @@ class PointSet:
 
     Coordinates are stored as an immutable (N, ambient_dim) array; the
     provenance dict records how the set was produced (generator, seed,
-    parameters) and travels into every report.
+    parameters) and travels into every report.  Wrapping rows onto the
+    manifold is idempotent, so PointSet(m, X.coords) keeps the bits of X.
     """
 
     def __init__(self, manifold: Manifold, coords, provenance: dict | None = None):
@@ -43,17 +44,7 @@ class PointSet:
             raise InputError("coordinates must hold at least one point")
         if not np.all(np.isfinite(arr)):
             raise InputError("non-finite coordinates")
-        self._fill(manifold, manifold._normalize(arr), provenance)
-
-    @classmethod
-    def _trusted(cls, manifold: Manifold, coords: np.ndarray, provenance: dict | None = None):
-        """Wrap coordinates that are already on the manifold (generator or
-        exp-map output) without renormalizing, so bits are preserved."""
-        obj = cls.__new__(cls)
-        obj._fill(manifold, np.array(coords, dtype=float), provenance)
-        return obj
-
-    def _fill(self, manifold, arr, provenance):
+        arr = manifold._normalize(arr)
         arr.setflags(write=False)
         self.manifold, self.coords, self.provenance = manifold, arr, dict(provenance or {})
 
@@ -271,7 +262,7 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
     tol = as_real("tol", tol, (">=", 0))
     m = X0.manifold
     n, d = X0.n, m.dim
-    current = PointSet._trusted(m, X0.coords)
+    current = X0
     try:
         energy_now = _energy.discrete_energy(current, s)
     except DomainError as exc:
@@ -290,7 +281,7 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
                 continue
             eta = eta0
             for _ in range(60):
-                prop = PointSet._trusted(m, m.exp_array(current.coords, -eta * grad))
+                prop = PointSet(m, m.exp_array(current.coords, -eta * grad))
                 e_prop = _energy_or_inf(prop, s)
                 if e_prop < energy_now:
                     if e_prop < best_e:
@@ -318,4 +309,4 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
         "line_search_failed": bool(line_search_failed),
         "energy_trace": [float(e) for e in trace],
     })
-    return PointSet._trusted(m, current.coords, prov)
+    return PointSet(m, current.coords, prov)

@@ -7,11 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from rieszlab import PointSet, fibonacci_sphere, flat_torus, sphere
+from rieszlab import PointSet, fibonacci_sphere, flat_torus, make_manifold, sphere
 from rieszlab.cli import (cli_dispatch, format_pointset, load_pointset,
                           parse_pointset, parse_rate_config, save_pointset)
 from rieszlab.errors import InputError
 from rieszlab.experiment import RateExperimentConfig
+from rieszlab.pointsets import generate_pointset
 
 from cli_env import cli_env
 
@@ -26,10 +27,20 @@ def run_cli(args, capsys):
 # point-set files
 # ----------------------------------------------------------------------
 
-def test_roundtrip_full_precision(tmp_path):
-    X = fibonacci_sphere(64)
+@pytest.mark.parametrize("manifold,dim,gen,n,seed", [
+    ("sphere", 2, "fibonacci", 64, 0),
+    ("sphere", 2, "fibonacci", 1000, 0),
+    ("sphere", 2, "farthest-point", 1024, 1),
+    ("sphere", 3, "uniform", 1000, 0),
+    ("torus", 3, "kronecker", 1000, 0),
+])
+def test_roundtrip_full_precision(tmp_path, manifold, dim, gen, n, seed):
+    # loading re-wraps the rows; on the sphere it must keep the rows that
+    # are already on it, not divide them by their computed norms
     path = str(tmp_path / "pts.txt")
-    save_pointset(X, path)
+    assert cli_dispatch(["generate", "--manifold", manifold, "--dim", str(dim), "--gen", gen,
+                         "--n", str(n), "--seed", str(seed), "--out", path]) == 0
+    X = generate_pointset(make_manifold(manifold, dim), gen, n, seed)
     Y = load_pointset(path)
     assert np.array_equal(X.coords, Y.coords)
     assert Y.manifold == X.manifold

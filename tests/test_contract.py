@@ -274,9 +274,9 @@ def test_farthest_point_generate_past_the_memory_exits_one(eight_gib, capsys):
 
 
 def test_distance_cdf_past_the_memory_is_an_input_error_before_the_pass(eight_gib):
-    # 10^5 points hold 4,999,950,000 pairs at 41 bytes each; trusted
-    # coordinates, so that no pass runs to check them
-    X = rl.PointSet._trusted(T2, np.random.default_rng(0).random((100_000, 2)))
+    # 10^5 points hold 4,999,950,000 pairs at 41 bytes each; the set is
+    # built outside the measured run
+    X = rl.PointSet(T2, np.random.default_rng(0).random((100_000, 2)))
 
     def run():
         with pytest.raises(rl.InputError, match=r"^pairs=4999950000 needs"):

@@ -390,7 +390,7 @@ def _rounded_antipode_sets():
     """Sets whose points 0 and 1 are x and -x exactly, with |x|^2 rounded
     below 1, so that their squared chord rounds below 4."""
     out = {}
-    for d, v in ((1, [1.19, -0.35]), (2, [-0.9, -2.84, 0.08])):
+    for d, v in ((1, [1.19, -0.35]), (2, [0.3, 0.5, 0.7])):
         x = np.array(v) / np.linalg.norm(v)
         rest = sample_uniform(sphere(d), 80 + d, 20).coords
         out[f"S{d}"] = PointSet(sphere(d), np.vstack([x, -x, rest]))

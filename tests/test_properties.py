@@ -3,8 +3,9 @@ needs a quadrature, the edge overlaps beyond r = sqrt(2)/2, and on S^1-S^3,
 T^1 and T^2), of the energy gradient, the energy and the separation under a
 permutation of the points, of the energy, the separation and the discrepancy
 under an isometry, of the symmetry of the axis deltas and the squared
-distances, of the small-ball energy on S^1-S^5, T^2 and T^3, and of the
-packing pool on S^1-S^5 and T^1-T^3."""
+distances, of the small-ball energy on S^1-S^5, T^2 and T^3, of the
+packing pool on S^1-S^5 and T^1-T^3, and of wrapping a point set on
+S^1-S^9 and T^1-T^3."""
 
 import math
 
@@ -14,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rieszlab import (PointSet, ball_volume, discrete_energy, energy_gradient,
-                      estimate_discrepancy, fibonacci_sphere, flat_torus, geodesic_distance,
-                      kronecker_torus, min_geodesic_distance, sample_uniform, sphere)
+                      estimate_discrepancy, farthest_point_sample, fibonacci_sphere, flat_torus,
+                      geodesic_distance, kronecker_torus, min_geodesic_distance,
+                      minimize_riesz_energy, sample_uniform, sphere)
 from rieszlab.energy import small_ball_energy
 from rieszlab.manifold import SQRT2_2, SQRT3_2
 from rieszlab.verify import _packing_pool
@@ -151,7 +153,7 @@ SEPARATION_SETS = {f"{name}{d}": sample_uniform(make(d), 90 + d, 300)
 def test_separation_and_energy_follow_a_permutation_of_the_points(name, order):
     X = SEPARATION_SETS[name]
     order = np.array(order)
-    Y = PointSet._trusted(X.manifold, X.coords[order])
+    Y = PointSet(X.manifold, X.coords[order])
     sep, permuted = min_geodesic_distance(X), min_geodesic_distance(Y)
     # sq_dist is bitwise symmetric, so the pair's distance keeps its bits
     assert permuted.min_distance.hex() == sep.min_distance.hex()
@@ -237,3 +239,33 @@ def test_packing_pool_lies_in_the_ball(name, seed, fraction):
     x, r = m._sample(rng, 1)[0], fraction * m.diameter
     pool = _packing_pool(m, x, r, 64, rng)
     assert np.all(_independent_distances(m, x, pool) <= r * (1.0 + 1e-12))
+
+
+WRAP_MANIFOLDS = {**{f"S{d}": sphere(d) for d in range(1, 10)},
+                  **{f"T{d}": flat_torus(d) for d in range(1, 4)}}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(WRAP_MANIFOLDS)), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 64), st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9]))
+@example("S2", 0, 64, 1.0 + 1e-9)
+@example("T1", 0, 64, 1.0 + 1e-9)
+def test_wrapping_a_point_set_is_idempotent(name, seed, n, scale):
+    # rows on the manifold keep their bits; rows 1e-9 off the sphere are
+    # rescaled onto it, to within the 4 eps band that wrapping keeps
+    m = WRAP_MANIFOLDS[name]
+    raw = m.sample(seed, n) * scale
+    X = PointSet(m, raw)
+    assert PointSet(m, X.coords).coords.tobytes() == X.coords.tobytes()
+    if scale == 1.0:
+        assert X.coords.tobytes() == raw.tobytes()
+    if name.startswith("S"):
+        assert np.all(np.abs(np.linalg.norm(X.coords, axis=1) - 1.0) <= 2.0 ** -50)
+
+
+@pytest.mark.parametrize("name", sorted(WRAP_MANIFOLDS))
+def test_generator_and_descent_outputs_are_fixed_points_of_wrapping(name):
+    m = WRAP_MANIFOLDS[name]
+    X = farthest_point_sample(m, 24, seed=3)
+    for Y in (X, minimize_riesz_energy(X, m.dim / 2.0, max_iters=3)):
+        assert PointSet(m, Y.coords).coords.tobytes() == Y.coords.tobytes()
