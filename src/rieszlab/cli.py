@@ -162,7 +162,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("separation", help="minimum pairwise geodesic distance of a file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--method", choices=("brute", "grid"), default="brute")
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify-lemmas", help="run the fitted-bound checks")
@@ -201,7 +200,7 @@ def _cmd_discrepancy(args) -> int:
 
 def _cmd_separation(args) -> int:
     X = load_pointset(args.infile)
-    rep = min_geodesic_distance(X, method=args.method)
+    rep = min_geodesic_distance(X)
     _emit_json(rep.to_dict(), args.out)
     return 0
 

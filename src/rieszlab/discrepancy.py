@@ -10,8 +10,9 @@ the true discrepancy, never an upper one.
 
 The jump values come from energy._chunked_pass, the one chunked, tiled
 pass over squared distances (sq_dist), with the centers as its rows.  The
-rate sweep asks the same pass for the energy and the separation too, so
-its row equals the three separate calls by construction.
+rate sweep asks the same pass for the energy too, and calls
+min_geodesic_distance for the separation, so its row equals the three
+separate calls by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .energy import _chunked_pass, _jump_values
 from .errors import as_real, as_sized_count
 from .manifold import Point, _as_vector
-from .pointsets import _separation_report
+from .pointsets import min_geodesic_distance
 from .rng import stream
 
 SIDE_ABOVE = "above"   # ball closed at the attaining radius
@@ -82,20 +83,21 @@ def center_discrepancy(X, y: Point):
 
 def _tiled_pass(X, extra_centers: int | None, seed: int, s: float | None = None):
     """One energy._chunked_pass over the centers: the N code points, then
-    extra_centers seeded uniform ones (default 4N).  With s given, the
-    same pass also reduces the energy and the brute-force separation, so
-    the results are those of the separate calls by construction.
+    extra_centers seeded uniform ones (default 4N, under the same memory
+    check).  With s given, the same pass also reduces the energy, and the
+    separation is min_geodesic_distance itself, so the results are those
+    of the separate calls by construction.
 
     Returns (estimate, energy, separation): the DiscrepancyEstimate, the
-    discrete_energy and the brute-force min_geodesic_distance report, the
-    last two None without s.  Coincident points raise the energy's
-    DomainError.
+    discrete_energy and the min_geodesic_distance report, the last two None
+    without s.  Coincident points raise the energy's DomainError.
     """
     n = X.n
-    extra_centers = 4 * n if extra_centers is None else as_sized_count(  # centers, rows, jumps
-        "extra_centers", extra_centers, 0, 8 * (2 * X.manifold.ambient_dim + 3))
+    extra_centers = as_sized_count(  # centers, rows, jumps
+        "extra_centers", 4 * n if extra_centers is None else extra_centers, 0,
+        8 * (2 * X.manifold.ambient_dim + 3))
     extra = X.manifold._sample(stream(seed, "discrepancy-centers"), extra_centers)
-    result = _chunked_pass(X, s=s, separation=s is not None, extra=extra)
+    result = _chunked_pass(X, s=s, extra=extra)
     k = int(np.argmax(result.jumps))  # first occurrence = smallest center index
     center = Point((X.coords[k] if k < n else extra[k - n]).copy())
     value, radius, side = center_discrepancy(X, center)
@@ -113,7 +115,7 @@ def _tiled_pass(X, extra_centers: int | None, seed: int, s: float | None = None)
         },
         provenance=dict(X.provenance),
     )
-    separation = None if s is None else _separation_report(X, *result.separation)
+    separation = None if s is None else min_geodesic_distance(X)
     return estimate, result.energy, separation
 
 

@@ -7,12 +7,12 @@ injectivity radius r0 it is taken by parts, on every manifold alike:
 small_ball_energy(r0) + diam^(-s) - r0^(-s) V(r0) + s * the integral of
 r^(-s-1) V(r) from r0 to the diameter.
 
-The energy, the brute-force separation, the pairwise distances, the
-discrepancy jump values and the gradient all come from _chunked_pass, the
-one chunked, tiled pass over the squared distances (sq_dist).  It walks
-its rows in chunks of CHUNK_ROWS consecutive points; the chunk is the unit
-of thread work and of the first math.fsum level (the energy sums each
-chunk's row sums, then the chunk sums), so CHUNK_ROWS fixes the bits.
+The energy, the pairwise distances, the discrepancy jump values and the
+gradient all come from _chunked_pass, the one chunked, tiled pass over
+the squared distances (sq_dist).  It walks its rows in chunks of
+CHUNK_ROWS consecutive points; the chunk is the unit of thread work and
+of the first math.fsum level (the energy sums each chunk's row sums,
+then the chunk sums), so CHUNK_ROWS fixes the bits.
 Pair reductions, the gradient included, visit each unordered pair once: a
 chunk's rows against those rows and every later point.  The gradient adds
 a pair's term to the row sum of its first point and, negated, to the
@@ -109,16 +109,6 @@ def _tile_row_sums(m, s, Q, upper):
     return k.sum(axis=1)
 
 
-def _tile_min(a, lo, Q, upper):
-    """Smallest squared distance of the upper-triangle tile (a, Q, upper)
-    of the chunk starting at lo, with the first pair attaining it in row
-    order: (q, (i, j))."""
-    masked = Q.copy()
-    np.copyto(masked[:, :upper.shape[1]], math.inf, where=~upper)
-    i, j = np.unravel_index(np.argmin(masked), masked.shape)
-    return masked[i, j], (a + int(i), lo + int(j))
-
-
 def _tile_gradient(m, s, margins, x, y, deltas, Q, upper, buffers):
     """Unscaled gradient terms of the upper-triangle tile (Q, upper) of the
     points x against the (ambient_dim, N - lo) columns y, the points from
@@ -182,17 +172,14 @@ def _jump_values(m: Manifold, Q: np.ndarray):
 
 
 # What _chunked_pass returns; a reduction not asked for is None.
-_PassResult = namedtuple("_PassResult", "energy separation distances jumps gradients")
+_PassResult = namedtuple("_PassResult", "energy distances jumps gradients")
 
 
-def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
-                  gradient=None) -> _PassResult:
+def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _PassResult:
     """The one chunked, tiled pass over the squared distances (sq_dist)
     of the point set X, with only the reductions asked for:
 
     - s: the energy, from the kernel row sums of each tile;
-    - separation: (q, (i, j)), the smallest q over the pairs i < j and
-      the lexicographically first pair attaining it;
     - distances: the N(N-1)/2 pairwise distances, row-major;
     - extra: (M, d) discrepancy centers after the N code points, M >= 0;
       the jumps are the largest jump value of each of the N + M centers;
@@ -206,17 +193,16 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
     upper-triangle tile.  Rows a..b-1 of it meet the diagonal only in its
     first min(b, N) - lo columns, so the mask is built for that strip
     alone; the reductions read the tile unmasked and overwrite the strip's
-    masked entries (0 for the kernel and the gradient weights, inf for the
-    separation), and the distances gather each row from its diagonal on.
-    The tile is checked for coincident pairs once (for the energy, the
-    distances and the gradient), then read by every pair reduction and the
-    gradient before the jump values sort it.  Each chunk's gradient partial
-    is folded into the totals in chunk order as it comes back.
+    masked entries (0 for the kernel and the gradient weights), and the
+    distances gather each row from its diagonal on.  The tile is checked
+    for coincident pairs once, then read by every pair reduction before
+    the jump values sort it.  Each chunk's gradient partial is folded into
+    the totals in chunk order as it comes back.
     """
     m, n = X.manifold, X.n
     rows = X.coords if extra is None else np.concatenate([X.coords, extra])
     cols = X.coords.T.copy().T[None]  # (1, N, d), each axis contiguous for the deltas
-    pairs = s is not None or separation or distances or gradient is not None
+    pairs = s is not None or distances or gradient is not None
     if gradient is not None:
         totals = np.zeros((len(gradient[1]), m.ambient_dim, n))
 
@@ -225,7 +211,7 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
         # threads slower than one
         lo, hi = chunk
         start = lo if extra is None else 0
-        sums, mins, dists, jumps, grad_rows = [], [], [], [], []
+        sums, dists, jumps, grad_rows = [], [], [], []
         tiles = _tile_ranges(lo, hi, n - start)
         if gradient is not None:
             # per margin the column sums and a tile's terms, sized by the first tile
@@ -239,12 +225,9 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
                 T = Q[:min(b, n) - a, lo - start:]  # T[i, j] is the pair (a + i, lo + j)
                 # a + i < lo + j fails only in the first min(b, n) - lo columns
                 upper = ~np.tri(len(T), min(b, n) - lo, a - lo, dtype=bool)
-                if s is not None or distances or gradient is not None:
-                    _check_distinct(a, lo, T, upper)
+                _check_distinct(a, lo, T, upper)
                 if s is not None:
                     sums.append(_tile_row_sums(m, s, T, upper))
-                if separation:
-                    mins.append(_tile_min(a, lo, T, upper))
                 if distances:
                     dists.append(m.dist_from_sq(np.concatenate(
                         [T[i, a - lo + i + 1:] for i in range(len(T))])))
@@ -259,7 +242,7 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
             # per margin, row sums minus column sums over points lo..N-1
             partial = -buffers[:, :, 0]
             partial[:, :, :hi - lo] += np.concatenate(grad_rows, axis=2)
-        return lo, partial, (sums, mins, dists, jumps)
+        return lo, partial, (sums, dists, jumps)
 
     def fold(out):
         lo, partial, reductions = out
@@ -267,14 +250,12 @@ def _chunked_pass(X, s=None, separation=False, distances=False, extra=None,
             totals[:, :, lo:] += partial
         return reductions
 
-    sums, mins, dists, jumps = zip(*map_ordered(
+    sums, dists, jumps = zip(*map_ordered(
         work, chunk_ranges(len(rows), CHUNK_ROWS), fold))
     return _PassResult(
         # correctly rounded within each chunk, then over the chunks: this fixes the bits
         None if s is None else 2.0 * math.fsum(
             math.fsum(np.concatenate(c)) for c in sums if c) / (n * n),
-        # min keeps the first of equal q: over tiles in row order, the first pair
-        min((t for c in mins for t in c), key=lambda t: t[0]) if separation else None,
         np.concatenate([t for c in dists for t in c]) if distances else None,
         None if extra is None else np.concatenate([t for c in jumps for t in c]),
         # per margin, the folded sums scaled, then projected

@@ -1,11 +1,12 @@
 """N-sweep harness: energies, discrepancy and separation across a
 geometric schedule, with log-log rate fits.
 
-Each row takes its discrete energy, brute-force separation and
-discrepancy estimate from one call of energy._chunked_pass (through
-discrepancy._tiled_pass).  discrete_energy, min_geodesic_distance and
-estimate_discrepancy each run the same pass for their one reduction, so
-the row equals the three separate calls by construction.
+Each row takes its discrete energy and discrepancy estimate from one
+call of energy._chunked_pass, and its separation from
+min_geodesic_distance, both through discrepancy._tiled_pass.
+discrete_energy and estimate_discrepancy each run the same pass for their
+one reduction, so the row equals the three separate calls by
+construction.
 
 The discrepancy column is the finite-center lower bound, not the true
 supremum; the fitted constants inherit that caveat and every emitted

@@ -1,5 +1,5 @@
-"""The checked-in table of default outputs: one fixed list of 17 CLI
-commands and their 19 outputs (stdout or written files), kept in
+"""The checked-in table of default outputs: one fixed list of 16 CLI
+commands and their 18 outputs (stdout or written files), kept in
 tests/golden/ and made with RIESZ_THREADS=1.
 
 test_golden.py reruns the list in-process and compares each output with the
@@ -48,7 +48,6 @@ COMMANDS = [
       for prefix, argv in (("energy", ["energy", "--s", "1"]),
                            ("disc", ["discrepancy", "--extra-centers", "50", "--seed", "3"]),
                            ("sep", ["separation"]))],
-    (["separation", "--method", "grid", "--in", "{w}/t3.txt"], "sepgrid_t3.json"),
     (["verify-lemmas", "--manifold", "sphere", "--dim", "2", "--s", "1"], "verify_s2.json"),
     (["verify-lemmas", "--manifold", "torus", "--dim", "3", "--s", "1.5"], "verify_t3.json"),
     *[(["rate", "--config", f"{{w}}/{name}.cfg", "--out-csv", f"{{w}}/{name}.csv",
@@ -58,13 +57,13 @@ COMMANDS = [
 OUTPUTS = ["s2.txt", "t3.txt", "s3.txt",
            *[f"{prefix}_{name}.json" for prefix in ("energy", "disc", "sep")
              for name in ("s2", "t3", "s3")],
-           "sepgrid_t3.json", "verify_s2.json", "verify_t3.json",
+           "verify_s2.json", "verify_t3.json",
            "rate_t2.json", "rate_t2.csv", "rate_s2fp.json", "rate_s2fp.csv"]
 
 
 def run_commands(workdir) -> dict:
     """Run the command list in-process through cli_dispatch, writing into
-    workdir, and return {output name: text} for the 19 outputs.  The caller
+    workdir, and return {output name: text} for the 18 outputs.  The caller
     sets RIESZ_THREADS=1."""
     from rieszlab.cli import cli_dispatch
 

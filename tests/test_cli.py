@@ -255,6 +255,16 @@ def test_energy_tol_flag_is_unrecognized(tmp_path, capsys, tol):
     assert "error: unrecognized arguments: --tol" in err
 
 
+@pytest.mark.parametrize("method", ["grid", "brute"])
+def test_separation_method_flag_is_unrecognized(tmp_path, capsys, method):
+    pts = str(tmp_path / "p.txt")
+    save_pointset(fibonacci_sphere(8), pts)
+    code, out, err = run_cli(["separation", "--in", pts, "--method", method], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: unrecognized arguments: --method" in err
+
+
 def test_generate_negative_seed_exits_one(tmp_path, capsys):
     code, _, err = run_cli(["generate", "--manifold", "sphere", "--dim", "2", "--gen",
                             "uniform", "--n", "5", "--seed", "-1",

@@ -285,6 +285,19 @@ def test_distance_cdf_past_the_memory_is_an_input_error_before_the_pass(eight_gi
     assert _peak_bytes(run) < 1 << 20
 
 
+def test_default_centers_past_the_memory_are_an_input_error_before_the_pass(monkeypatch):
+    # 2 * 10^4 points default to 80,000 extra centers at 56 bytes each on
+    # T^2; the set is built outside the measured run
+    X = rl.PointSet(T2, np.random.default_rng(0).random((20_000, 2)))
+    monkeypatch.setattr(errors, "PHYSICAL_MEMORY", 1 << 20)
+
+    def run():
+        with pytest.raises(rl.InputError, match=r"^extra_centers=80000 needs"):
+            rl.estimate_discrepancy(X)
+
+    assert _peak_bytes(run) < 1 << 20
+
+
 def test_count_within_the_memory_passes_the_budget():
     assert errors.PHYSICAL_MEMORY > 0
     assert errors.as_sized_count("n", 16, 1, errors.PHYSICAL_MEMORY // 16) == 16

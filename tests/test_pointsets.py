@@ -59,7 +59,7 @@ def test_brute_separation_pair_past_first_block():
         full = m.pairwise_block(X.coords, X.coords)
         masked = np.where(np.triu(np.ones((400, 400), dtype=bool), 1), full, np.inf)
         i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        rep = min_geodesic_distance(X, "brute")
+        rep = min_geodesic_distance(X)
         assert rep.pair == pair == (i, j)
         assert rep.min_distance == masked[i, j]  # bitwise
 
@@ -69,34 +69,74 @@ def test_separation_needs_two_points():
         min_geodesic_distance(fibonacci_sphere(1))
 
 
-@pytest.mark.parametrize("d,n", [(1, 50), (1, 333), (2, 50), (2, 400), (3, 150)])
-def test_grid_separation_bit_identical(d, n):
-    m = flat_torus(d)
+def _all_pairs_min(X):
+    """The first smallest sq_dist over np.triu_indices, row-major: (q, (i, j))."""
+    i, j = np.triu_indices(X.n, 1)
+    q = X.manifold.sq_dist(X.coords[i], X.coords[j])
+    k = int(np.argmin(q))
+    return q[k], (int(i[k]), int(j[k]))
+
+
+def _formula_min(X):
+    """The smallest distance by a formula of its own: the arccos of the dot
+    products on S^d, the wrapped axis deltas on T^d."""
+    c = X.coords
+    if isinstance(X.manifold, FlatTorus):
+        delta = np.abs(c[:, None, :] - c[None, :, :])
+        dist = np.sqrt(np.sum(np.minimum(delta, 1.0 - delta) ** 2, axis=2))
+    else:
+        dist = np.arccos(np.clip(np.einsum("ik,jk->ij", c, c), -1.0, 1.0))
+    return dist[np.triu_indices(X.n, 1)].min()
+
+
+def _separation_sets(m, n):
+    """Ten seeded uniform sets and the edge sets of the scan, by name."""
     base = sample_uniform(m, 0, n).coords
-    edge_sets = [
-        np.vstack([base, base[n // 2], base[0]]),       # two duplicates: tied pairs
-        np.vstack([base[1:], np.full((2, d), -1e-17)]),  # tiny negatives wrap to 0.0
-        base[:2],                                       # N = 2
-    ]
-    sets = [sample_uniform(m, seed, n) for seed in range(20)]
-    sets += [PointSet(m, coords) for coords in edge_sets]
-    count = 0
-    for X in sets:
-        brute = min_geodesic_distance(X, "brute")
-        grid = min_geodesic_distance(X, "grid")
-        assert grid.min_distance == brute.min_distance  # bitwise
-        assert grid.pair == brute.pair
-        count += 1
-    assert count == 23
-    dup = min_geodesic_distance(sets[20], "grid")
+    edge = {
+        "dup": np.vstack([base, base[n // 2], base[0]]),  # two duplicates: tied pairs
+        "two": base[:2],                                  # N = 2
+    }
+    if isinstance(m, FlatTorus):
+        edge["wrapped"] = np.vstack([base[1:], np.full((2, m.dim), -1e-17)])  # wrap to 0.0
+        # every point shares axis 0, the scan's worst case
+        edge["shared"] = np.hstack([np.full((n, 1), 0.3), base[:, 1:]])
+        # the closest pair straddles the axis-0 wrap
+        edge["across"] = np.vstack([base, np.full((2, m.dim), 0.5)])
+        edge["across"][n:, 0] = 1.0 - 1e-7, 1e-7
+        if m.dim == 2:
+            # equal q at many offsets of the sorted order, in a shuffled lattice
+            g = np.stack(np.meshgrid(np.arange(32), np.arange(32)), axis=-1).reshape(-1, 2) / 32
+            edge["lattice"] = g[np.random.default_rng(3).permutation(len(g))]
+    elif m.dim > 1:
+        # every point on the great circle x_0 = 0, the scan's worst case
+        t = 2 * math.pi * sample_uniform(flat_torus(1), 1, n).coords
+        edge["shared"] = np.hstack([np.zeros((n, m.dim - 1)), np.cos(t), np.sin(t)])
+    sets = {seed: sample_uniform(m, seed, n) for seed in range(10)}
+    return {**sets, **{name: PointSet(m, c) for name, c in edge.items()}}
+
+
+@pytest.mark.parametrize("m", [sphere(d) for d in range(1, 6)] + [flat_torus(d) for d in (1, 2, 3)],
+                         ids=repr)
+def test_separation_matches_references(m):
+    n = 200
+    sets = _separation_sets(m, n)
+    for X in sets.values():
+        rep = min_geodesic_distance(X)
+        q, pair = _all_pairs_min(X)
+        assert rep.pair == pair
+        assert rep.min_distance == m.dist_from_sq(q)  # bitwise
+        if not rep.has_duplicates:
+            # arccos has condition number 1 / sin of the angle
+            slack = 0.0 if isinstance(m, FlatTorus) else 1e-15 / math.sin(rep.min_distance)
+            assert abs(rep.min_distance - _formula_min(X)) <= 1e-14 + slack
+    dup = min_geodesic_distance(sets["dup"])
     assert dup.min_distance == 0.0 and dup.pair == (0, n + 1)
-    wrapped = min_geodesic_distance(sets[21], "grid")
-    assert wrapped.min_distance == 0.0 and wrapped.pair == (n - 1, n)
-
-
-def test_grid_separation_torus_only():
-    with pytest.raises(InputError):
-        min_geodesic_distance(fibonacci_sphere(16), "grid")
+    if isinstance(m, FlatTorus):
+        wrapped = min_geodesic_distance(sets["wrapped"])
+        assert wrapped.min_distance == 0.0 and wrapped.pair == (n - 1, n)
+        across = min_geodesic_distance(sets["across"])
+        assert across.pair == (n, n + 1)
+        assert across.min_distance == pytest.approx(2e-7, rel=1e-6)
 
 
 def test_unknown_method_rejected():

@@ -85,7 +85,7 @@ for name, argv in [
                       "--n", "300", "--out", "k.txt"]),
         ("energy", ["energy", "--in", "k.txt", "--s", "1"]),
         ("discrepancy", ["discrepancy", "--in", "k.txt"]),
-        ("separation", ["separation", "--in", "k.txt", "--method", "brute"]),
+        ("separation", ["separation", "--in", "k.txt"]),
         ("rate", ["rate", "--config", "t2.cfg", "--out-csv", "t2.csv", "--out-json", "t2.json"]),
         ("verify-lemmas T2", ["verify-lemmas", "--manifold", "torus", "--dim", "2", "--s", "1"]),
         ("verify-lemmas T3", ["verify-lemmas", "--manifold", "torus", "--dim", "3", "--s", "1"])]:

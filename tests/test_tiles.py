@@ -93,6 +93,13 @@ def _torus2(n):
     return kronecker_torus(2, n)
 
 
+def _circle(n):
+    """n points of S^2 on the circle x_0 = 0: one shared axis 0, the
+    separation scan's worst case."""
+    t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    return PointSet(sphere(2), np.column_stack([np.zeros(n), np.cos(t), np.sin(t)]))
+
+
 @pytest.mark.parametrize("make,n,only", [
     pytest.param(fibonacci_sphere, 1024, None, id="S2-1024"),
     pytest.param(fibonacci_sphere, 4096, None, id="S2-4096"),
@@ -101,6 +108,7 @@ def _torus2(n):
     # the gradient folds each chunk's (N - lo, d) partial as it comes back;
     # holding all N / CHUNK_ROWS of them would pass 4 MiB here
     pytest.param(_torus2, 8192, ("gradient", "gradient_pair"), id="T2-8192"),
+    pytest.param(_circle, 4096, ("separation", "sweep_row"), id="S2-circle-4096"),
 ])
 def test_pass_memory_flat_in_n(make, n, only):
     X = make(n)
