@@ -79,6 +79,8 @@ def parse_pointset(text: str) -> PointSet:
             for token in line[1:].split():
                 if "=" in token:
                     key, _, value = token.partition("=")
+                    if key in header:
+                        raise InputError(f"header line {lineno} repeats the key {key}=")
                     header[key] = value
             continue
         try:
@@ -227,8 +229,10 @@ def parse_rate_config(text: str) -> RateExperimentConfig:
             continue
         if "=" not in line:
             raise InputError(f"config line {lineno} is not key=value: {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise InputError(f"config line {lineno} repeats the key {key}")
+        values[key] = value
     known = {"manifold", "dim", "s", "generator", "ns", "n_min", "n_max",
              "extra_centers", "seed", "candidate_pool"}
     unknown = set(values) - known
@@ -240,6 +244,8 @@ def parse_rate_config(text: str) -> RateExperimentConfig:
     m = make_manifold(values["manifold"], _number("dim", values["dim"], int))
     if "ns" in values:
         ns = [_number("ns", tok.strip(), int) for tok in values["ns"].split(",") if tok.strip()]
+        if "n_min" in values or "n_max" in values:
+            raise InputError("config gives both ns= and n_min=/n_max=; keep one")
     elif "n_min" in values and "n_max" in values:
         ns = geometric_schedule(_number("n_min", values["n_min"], int),
                                 _number("n_max", values["n_max"], int))

@@ -241,11 +241,21 @@ def generate_pointset(m: Manifold, generator: str, n: int, seed: int,
 # Riesz energy descent
 # ----------------------------------------------------------------------
 
-def _energy_or_inf(X, s: float) -> float:
-    try:
-        return _energy.discrete_energy(X, s)
-    except DomainError:
-        return math.inf
+def _line_search(X: PointSet, s: float, grad, energy_now: float, eta: float):
+    """The first trial exp_X(-eta * grad), eta halved up to 60 times, whose
+    energy is below energy_now, as (set, energy); (None, energy_now) when no
+    trial is.  A trial with coincident points has no energy: no decrease."""
+    m = X.manifold
+    for _ in range(60):
+        trial = PointSet(m, m.exp_array(X.coords, -eta * grad))
+        try:
+            e = _energy.discrete_energy(trial, s)
+        except DomainError:
+            e = math.inf
+        if e < energy_now:
+            return trial, e
+        eta /= 2.0
+    return None, energy_now
 
 
 def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
@@ -259,51 +269,35 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
     joint step.  Steps start at 0.1 * N^(-1/d) and halve until the energy
     decreases (at most 60 halvings); the better candidate wins.
 
-    Stops when the relative energy decrease falls below tol, after
-    max_iters iterations, or when no candidate improves (flagged in the
-    provenance).  The energy trace of accepted iterates is recorded.  A
-    starting set with coincident points raises InputError naming a pair.
+    The provenance holds the energy trace of accepted iterates,
+    "iterations" (its length less one) and why the descent stopped:
+    "converged" when the relative energy decrease falls below tol or a
+    gradient is zero, "line_search_failed" when no candidate lowers the
+    energy, and neither flag when max_iters iterations ran.  A starting
+    set with coincident points raises InputError naming a pair.
     """
     _energy.check_exponent(s, X0.manifold.dim)
     max_iters = as_count("max_iters", max_iters, 0)
     tol = as_real("tol", tol, (">=", 0))
-    m = X0.manifold
-    n, d = X0.n, m.dim
-    current = X0
     try:
-        energy_now = _energy.discrete_energy(current, s)
+        trace = [_energy.discrete_energy(X0, s)]
     except DomainError as exc:
         raise InputError(f"initial set has {exc}") from exc
-    trace = [energy_now]
-    eta0 = 0.1 * n ** (-1.0 / d)
-    converged = False
-    line_search_failed = False
-    iters_done = 0
+    eta0 = 0.1 * X0.n ** (-1.0 / X0.manifold.dim)
+    current, converged, line_search_failed = X0, False, False
     for _ in range(max_iters):
-        best_prop, best_e = None, energy_now
-        # one gradient pass gives both candidates' energy_gradient
-        for grad in _energy._chunked_pass(current, gradient=(s, (1e-12, 1e-2))).gradients:
-            if not np.any(grad):
-                converged = True
-                continue
-            eta = eta0
-            for _ in range(60):
-                prop = PointSet(m, m.exp_array(current.coords, -eta * grad))
-                e_prop = _energy_or_inf(prop, s)
-                if e_prop < energy_now:
-                    if e_prop < best_e:
-                        best_prop, best_e = prop, e_prop
-                    break
-                eta /= 2.0
-        if best_prop is None:
+        # one gradient pass gives both candidates' energy_gradient; min keeps
+        # the first of equal energies, so the full gradient wins a tie
+        grads = _energy._chunked_pass(current, gradient=(s, (1e-12, 1e-2))).gradients
+        trials = [_line_search(current, s, g, trace[-1], eta0) for g in grads if np.any(g)]
+        trial, e = min(trials, key=lambda t: t[1], default=(None, trace[-1]))
+        if trial is None:
+            converged = len(trials) < len(grads)  # a zero gradient: a critical point
             line_search_failed = not converged
             break
-        converged = False
-        iters_done += 1
-        rel_drop = (energy_now - best_e) / abs(energy_now) if energy_now else 0.0
-        current, energy_now = best_prop, best_e
-        trace.append(energy_now)
-        if rel_drop < tol:
+        current = trial
+        trace.append(e)
+        if (trace[-2] - e) / trace[-2] < tol:
             converged = True
             break
     prov = dict(X0.provenance)
@@ -311,9 +305,9 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
         "generator": "riesz-descent",
         "base_generator": X0.provenance.get("generator"),
         "s": float(s),
-        "iterations": iters_done,
-        "converged": bool(converged),
-        "line_search_failed": bool(line_search_failed),
+        "iterations": len(trace) - 1,
+        "converged": converged,
+        "line_search_failed": line_search_failed,
         "energy_trace": [float(e) for e in trace],
     })
-    return PointSet(m, current.coords, prov)
+    return PointSet(current.manifold, current.coords, prov)

@@ -288,6 +288,31 @@ def test_pointset_header_malformed_number_exits_one(tmp_path, capsys, header, ba
     assert f"error: {bad}" in err
 
 
+# a repeated or conflicting key is refused by name: no line silently wins
+@pytest.mark.parametrize("extra,message", [
+    ({"s": ["1", "0.5"]}, "config line 4 repeats the key s"),
+    ({"ns": ["32,64"], "n_min": ["8"], "n_max": ["4096"]}, "config gives both ns= and n_min="),
+], ids=["s-twice", "ns-with-n_min-n_max"])
+def test_rate_repeated_key_exits_one(tmp_path, capsys, extra, message):
+    base = {"manifold": ["torus"], "dim": ["1"], "s": ["0.5"], "generator": ["kronecker"]}
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k}={v}\n" for k, vs in dict(base, **extra).items() for v in vs))
+    code, out, err = run_cli(["rate", "--config", str(cfg), "--out-csv",
+                              str(tmp_path / "o.csv"), "--out-json", "-"], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"error: {message}" in err
+
+
+def test_pointset_repeated_header_key_exits_one(tmp_path, capsys):
+    pts = tmp_path / "p.txt"
+    pts.write_text("# manifold=flat-torus dim=1\n# n=1\n# n=2\n0.25\n0.75\n")
+    code, out, err = run_cli(["separation", "--in", str(pts)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: header line 3 repeats the key n=" in err
+
+
 # ----------------------------------------------------------------------
 # exit codes
 # ----------------------------------------------------------------------

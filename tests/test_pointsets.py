@@ -333,6 +333,23 @@ def test_descent_distinct_output():
     assert min_geodesic_distance(out).min_distance > 0
 
 
+@pytest.mark.parametrize("make,s,kwargs,stop", [
+    (lambda: PointSet(sphere(1), [[1.0, 0.0], [-1.0, 0.0]]), 0.5, {}, (0, True, False)),
+    (lambda: PointSet(sphere(1), [[1.0, 0.0], [math.cos(2.5), math.sin(2.5)]]), 0.5,
+     {"max_iters": 2000, "tol": 1e-14}, (125, True, False)),
+    (lambda: PointSet(flat_torus(1), [[0.1], [0.45], [0.7]]), 0.5,
+     {"max_iters": 5000, "tol": 0.0}, (54, False, True)),
+    (lambda: sample_uniform(sphere(2), 0, 64), 1.0, {"max_iters": 3, "tol": 0.0},
+     (3, False, False)),
+], ids=["zero-gradient", "tol", "line-search-failed", "max-iters"])
+def test_descent_stop_reasons(make, s, kwargs, stop):
+    prov = minimize_riesz_energy(make(), s, **kwargs).provenance
+    trace = prov["energy_trace"]
+    assert (prov["iterations"], prov["converged"], prov["line_search_failed"]) == stop
+    assert prov["iterations"] == len(trace) - 1
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
 @pytest.mark.parametrize("make", [lambda: sample_uniform(sphere(2), 6, 300),
                                   lambda: sample_uniform(flat_torus(2), 7, 300)],
                          ids=["S2", "T2"])

@@ -110,7 +110,9 @@ def _circle(n):
     pytest.param(_torus2, 8192, ("gradient", "gradient_pair"), id="T2-8192"),
     pytest.param(_circle, 4096, ("separation", "sweep_row"), id="S2-circle-4096"),
 ])
-def test_pass_memory_flat_in_n(make, n, only):
+def test_pass_memory_flat_in_n(monkeypatch, make, n, only):
+    # the one-thread bound: each worker holds its own chunk buffers
+    monkeypatch.setenv("RIESZ_THREADS", "1")
     X = make(n)
     passes = {
         "energy": lambda: discrete_energy(X, 1.0),
