@@ -109,48 +109,43 @@ def _tile_row_sums(m, s, Q, upper):
     return k.sum(axis=1)
 
 
-def _tile_gradient(m, s, margins, x, y, deltas, Q, upper, buffers):
+def _tile_gradient(m, s, margin, x, y, deltas, Q, upper, buffers):
     """Unscaled gradient terms of the upper-triangle tile (Q, upper) of the
     points x against the (ambient_dim, N - lo) columns y, the points from
     the chunk start lo on; its pairs are distinct.  deltas are the tile's
     axis deltas y - x from Manifold._axis_deltas, one (rows, N - lo) array
     per axis: the ones Q was summed from, so the gradient forms none.
 
-    Returns the tile's (margins, ambient_dim, rows) row sums.  buffers is
-    the chunk's (margins, ambient_dim, rows + 1, N - lo) array, allocated
-    by _chunked_pass for the chunk's first tile, which has the most rows,
-    and reused by every later tile of the chunk: allocating it per tile let
+    Returns the tile's (ambient_dim, rows) row sums.  buffers is the
+    chunk's (ambient_dim, rows + 1, N - lo) array, allocated by
+    _chunked_pass for the chunk's first tile, which has the most rows, and
+    reused by every later tile of the chunk: allocating it per tile let
     malloc return the tile's memory to the OS and fault it in again, about
     30 times as many page faults and twice the time of an S^2 pass at
     N = 4096.  Its row 0 is the chunk's column sums so far; the tile's
     terms go into the rows after it and are added to row 0 in row order.
 
-    Each pair i < j is computed once.  It counts for a margin unless its
-    reach (Manifold._log_lengths) lies within the margin of the cut locus.
-    Its distance and weight w are computed once; each margin then masks w.
-    Q and w are symmetric in the pair and the deltas antisymmetric, so the
-    term w * delta of row i is, negated, the term of row j: the row sums
-    take it with a plus sign, the column sums with a minus sign once the
-    chunk is done.
+    Each pair i < j is computed once.  It counts unless its reach
+    (Manifold._log_lengths) lies within the cut margin of the cut locus.
+    Q and the weight w are symmetric in the pair and the deltas
+    antisymmetric, so the term w * delta of row i is, negated, the term of
+    row j: the row sums take it with a plus sign, the column sums with a
+    minus sign once the chunk is done.
     """
     # log_x(y) has length dist along u, the tangent part of y - x; the
     # final projection (Manifold._project_tangent) removes the rest of y - x
     with np.errstate(divide="ignore", invalid="ignore"):  # off live pairs
         reach, dist, u_norm = m._log_lengths(x, y, deltas, Q)
-        cuts = [m.injectivity_radius * (1.0 - c) for c in margins]
-        # the smallest margin cuts furthest out: its pairs count for any margin
-        live = reach < max(cuts)
+        live = reach < m.injectivity_radius * (1.0 - margin)
         live[:, :upper.shape[1]] &= upper
         w = np.where(live, dist ** (-s - 1.0) / u_norm, 0.0)
-    terms = buffers[:, :, :len(Q) + 1]
-    for k, cut in enumerate(cuts):
-        wk = w if cut == max(cuts) else np.where(reach < cut, w, 0.0)
-        for axis, dk in enumerate(deltas):
-            np.multiply(wk, dk, out=terms[k, axis, 1:])
-    rows = terms[:, :, 1:].sum(axis=3)
+    terms = buffers[:, :len(Q) + 1]
+    for axis, dk in enumerate(deltas):
+        np.multiply(w, dk, out=terms[axis, 1:])
+    rows = terms[:, 1:].sum(axis=2)
     # numpy adds the rows of each axis in order, so the column sums do not
     # depend on the tile size
-    terms[:, :, 0] = terms.sum(axis=2)
+    terms[:, 0] = terms.sum(axis=1)
     return rows
 
 
@@ -172,7 +167,7 @@ def _jump_values(m: Manifold, Q: np.ndarray):
 
 
 # What _chunked_pass returns; a reduction not asked for is None.
-_PassResult = namedtuple("_PassResult", "energy distances jumps gradients")
+_PassResult = namedtuple("_PassResult", "energy distances jumps gradient")
 
 
 def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _PassResult:
@@ -183,8 +178,7 @@ def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _Pas
     - distances: the N(N-1)/2 pairwise distances, row-major;
     - extra: (M, d) discrepancy centers after the N code points, M >= 0;
       the jumps are the largest jump value of each of the N + M centers;
-    - gradient: (s, margins), without extra: the energy_gradient of each
-      cut margin.
+    - gradient: (s, cut_margin), without extra: the energy_gradient.
 
     The rows (code points, then extra centers) are walked in chunks of
     CHUNK_ROWS, each in tiles of whole rows.  A tile's columns are the code
@@ -204,7 +198,7 @@ def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _Pas
     cols = X.coords.T.copy().T[None]  # (1, N, d), each axis contiguous for the deltas
     pairs = s is not None or distances or gradient is not None
     if gradient is not None:
-        totals = np.zeros((len(gradient[1]), m.ambient_dim, n))
+        totals = np.zeros((m.ambient_dim, n))
 
     def work(chunk):
         # the thread unit is a chunk, not a tile: tile-sized tasks made two
@@ -214,8 +208,8 @@ def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _Pas
         sums, dists, jumps, grad_rows = [], [], [], []
         tiles = _tile_ranges(lo, hi, n - start)
         if gradient is not None:
-            # per margin the column sums and a tile's terms, sized by the first tile
-            buffers = np.zeros((len(gradient[1]), m.ambient_dim, tiles[0][1] - lo + 1, n - lo))
+            # the column sums and a tile's terms, sized by the first tile
+            buffers = np.zeros((m.ambient_dim, tiles[0][1] - lo + 1, n - lo))
         for a, b in tiles:
             deltas = m._axis_deltas(rows[a:b, None, :], cols[:, start:])
             if gradient is not None:
@@ -239,15 +233,15 @@ def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _Pas
                 jumps.append(np.maximum(above.max(axis=1), below.max(axis=1)))
         partial = None
         if gradient is not None:
-            # per margin, row sums minus column sums over points lo..N-1
-            partial = -buffers[:, :, 0]
-            partial[:, :, :hi - lo] += np.concatenate(grad_rows, axis=2)
+            # row sums minus column sums over points lo..N-1
+            partial = -buffers[:, 0]
+            partial[:, :hi - lo] += np.concatenate(grad_rows, axis=1)
         return lo, partial, (sums, dists, jumps)
 
     def fold(out):
         lo, partial, reductions = out
         if partial is not None:
-            totals[:, :, lo:] += partial
+            totals[:, lo:] += partial
         return reductions
 
     sums, dists, jumps = zip(*map_ordered(
@@ -258,10 +252,9 @@ def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _Pas
             math.fsum(np.concatenate(c)) for c in sums if c) / (n * n),
         np.concatenate([t for c in dists for t in c]) if distances else None,
         None if extra is None else np.concatenate([t for c in jumps for t in c]),
-        # per margin, the folded sums scaled, then projected
-        None if gradient is None else tuple(
-            m._project_tangent(X.coords, 2.0 * gradient[0] / (n * n) * np.ascontiguousarray(g.T))
-            for g in totals))
+        # the folded sums scaled, then projected
+        None if gradient is None else m._project_tangent(
+            X.coords, 2.0 * gradient[0] / (n * n) * np.ascontiguousarray(totals.T)))
 
 
 def discrete_energy(X, s: float) -> float:
@@ -381,7 +374,7 @@ def energy_gradient(X, s: float, cut_margin: float = 1e-12) -> np.ndarray:
     """
     check_exponent(s, X.manifold.dim)
     cut_margin = as_real("cut_margin", cut_margin, (">=", 0), ("<", 1))
-    return _chunked_pass(X, gradient=(s, (cut_margin,))).gradients[0]
+    return _chunked_pass(X, gradient=(s, cut_margin)).gradient
 
 
 # ----------------------------------------------------------------------

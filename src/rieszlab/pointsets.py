@@ -6,8 +6,8 @@ on the Riesz energy as a refiner.
 
 Separation is one exact sort-and-sweep scan along axis 0 on every
 manifold (_closest_pair): serial, so its bits do not depend on the thread
-count.  Each descent iteration asks energy._chunked_pass once for the
-gradients of both its candidates.
+count.  Each descent iteration searches the smoothed gradient first and
+computes the full one only as its fallback.
 """
 
 from __future__ import annotations
@@ -262,19 +262,18 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
                           tol: float = 1e-12) -> PointSet:
     """Riemannian gradient descent on the discrete Riesz energy.
 
-    Each iteration line-searches two candidate directions: the full
-    (sub)gradient, and a smoothed one with near-cut-locus pairs dropped.
-    The second candidate matters when pairs sit at the cut locus, where
-    the distance function has a corner and the raw pull can block every
-    joint step.  Steps start at 0.1 * N^(-1/d) and halve until the energy
-    decreases (at most 60 halvings); the better candidate wins.
+    Each iteration line-searches the smoothed gradient, which drops pairs
+    within cut margin 1e-2 of the cut locus, where a pair's raw pull can
+    block every joint step; only if it is zero or finds no decrease is the
+    full (sub)gradient, cut margin 1e-12, searched.  Steps start at
+    0.1 * N^(-1/d) and halve, at most 60 times, until the energy decreases.
 
     The provenance holds the energy trace of accepted iterates,
     "iterations" (its length less one) and why the descent stopped:
-    "converged" when the relative energy decrease falls below tol or a
-    gradient is zero, "line_search_failed" when no candidate lowers the
-    energy, and neither flag when max_iters iterations ran.  A starting
-    set with coincident points raises InputError naming a pair.
+    "converged" when the relative decrease falls below tol or a computed
+    gradient is zero and no search lowers the energy, "line_search_failed"
+    when every search fails, neither when max_iters iterations ran.  A
+    starting set with coincident points raises InputError naming a pair.
     """
     _energy.check_exponent(s, X0.manifold.dim)
     max_iters = as_count("max_iters", max_iters, 0)
@@ -286,22 +285,24 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
     eta0 = 0.1 * X0.n ** (-1.0 / X0.manifold.dim)
     current, converged, line_search_failed = X0, False, False
     for _ in range(max_iters):
-        # one gradient pass gives both candidates' energy_gradient; min keeps
-        # the first of equal energies, so the full gradient wins a tie
-        grads = _energy._chunked_pass(current, gradient=(s, (1e-12, 1e-2))).gradients
-        trials = [_line_search(current, s, g, trace[-1], eta0) for g in grads if np.any(g)]
-        trial, e = min(trials, key=lambda t: t[1], default=(None, trace[-1]))
+        trial, zero = None, False
+        for margin in (1e-2, 1e-12):  # the full gradient is the cut-locus rescue
+            grad = _energy.energy_gradient(current, s, margin)
+            zero = zero or not np.any(grad)
+            if np.any(grad):
+                trial, e = _line_search(current, s, grad, trace[-1], eta0)
+                if trial is not None:
+                    break
         if trial is None:
-            converged = len(trials) < len(grads)  # a zero gradient: a critical point
-            line_search_failed = not converged
+            converged, line_search_failed = zero, not zero  # zero: a critical point
             break
         current = trial
         trace.append(e)
         if (trace[-2] - e) / trace[-2] < tol:
             converged = True
             break
-    prov = dict(X0.provenance)
-    prov.update({
+    return PointSet(current.manifold, current.coords, {
+        **X0.provenance,
         "generator": "riesz-descent",
         "base_generator": X0.provenance.get("generator"),
         "s": float(s),
@@ -310,4 +311,3 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
         "line_search_failed": line_search_failed,
         "energy_trace": [float(e) for e in trace],
     })
-    return PointSet(current.manifold, current.coords, prov)

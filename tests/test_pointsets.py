@@ -350,25 +350,37 @@ def test_descent_stop_reasons(make, s, kwargs, stop):
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
-@pytest.mark.parametrize("make", [lambda: sample_uniform(sphere(2), 6, 300),
-                                  lambda: sample_uniform(flat_torus(2), 7, 300)],
-                         ids=["S2", "T2"])
-def test_descent_one_gradient_pass_per_iteration(monkeypatch, make):
+@pytest.mark.parametrize("make,s,kwargs,fallback", [
+    (lambda: sample_uniform(sphere(2), 6, 300), 1.0, {"max_iters": 4, "tol": 0.0}, False),
+    (lambda: sample_uniform(flat_torus(2), 7, 300), 1.0, {"max_iters": 4, "tol": 0.0}, False),
+    (lambda: PointSet(sphere(1), [[1.0, 0.0], [math.cos(2.5), math.sin(2.5)]]), 0.5,
+     {"max_iters": 2000, "tol": 1e-14}, True),
+], ids=["S2", "T2", "S1-pair"])
+def test_descent_one_gradient_pass_per_iteration(monkeypatch, make, s, kwargs, fallback):
     from rieszlab import energy
     X0 = make()
-    passes = []
+    gradients, energies = [], []
     chunked_pass = energy._chunked_pass
 
     def counting(X, **kwargs):
         if kwargs.get("gradient") is not None:
-            passes.append(kwargs["gradient"][1])
+            gradients.append(kwargs["gradient"][1])
+        if kwargs.get("s") is not None:
+            energies.append(kwargs["s"])
         return chunked_pass(X, **kwargs)
 
     monkeypatch.setattr(energy, "_chunked_pass", counting)
-    out = minimize_riesz_energy(X0, 1.0, max_iters=4, tol=0.0)
-    assert out.provenance["iterations"] == 4
-    # one pass per iteration serves both candidates' cut margins
-    assert passes == [(1e-12, 1e-2)] * 4
+    out = minimize_riesz_energy(X0, s, **kwargs)
+    if fallback:
+        # the pair nears the cut locus, where the smoothed step is blocked:
+        # the full gradient's pass runs
+        assert 1e-12 in gradients
+    else:
+        # each smoothed search succeeds: one gradient pass and one energy
+        # pass per iteration, after the starting energy
+        assert out.provenance["iterations"] == 4
+        assert gradients == [1e-2] * 4
+        assert len(energies) == 1 + 4
 
 
 @pytest.mark.parametrize("make", [lambda: farthest_point_sample(sphere(2), 600, 2),

@@ -107,12 +107,13 @@ def _circle(n):
     pytest.param(_torus2, 4096, None, id="T2-4096"),
     # the gradient folds each chunk's (N - lo, d) partial as it comes back;
     # holding all N / CHUNK_ROWS of them would pass 4 MiB here
-    pytest.param(_torus2, 8192, ("gradient", "gradient_pair"), id="T2-8192"),
+    pytest.param(_torus2, 8192, ("gradient",), id="T2-8192"),
     pytest.param(_circle, 4096, ("separation", "sweep_row"), id="S2-circle-4096"),
 ])
-def test_pass_memory_flat_in_n(monkeypatch, make, n, only):
-    # the one-thread bound: each worker holds its own chunk buffers
-    monkeypatch.setenv("RIESZ_THREADS", "1")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pass_memory_flat_in_n(monkeypatch, make, n, only, threads):
+    # each worker holds its own chunk buffers: the bound covers two of them
+    monkeypatch.setenv("RIESZ_THREADS", threads)
     X = make(n)
     passes = {
         "energy": lambda: discrete_energy(X, 1.0),
@@ -120,8 +121,6 @@ def test_pass_memory_flat_in_n(monkeypatch, make, n, only):
         "discrepancy": lambda: estimate_discrepancy(X, extra_centers=0),
         "sweep_row": lambda: _tiled_pass(X, 0, 0, 1.0),
         "gradient": lambda: energy_gradient(X, 1.0),
-        # the descent's pass: both candidates' gradients at once
-        "gradient_pair": lambda: energy._chunked_pass(X, gradient=(1.0, (1e-12, 1e-2))),
     }
     peaks = {}
     tracemalloc.start()
@@ -174,18 +173,18 @@ def test_gradient_pass_forms_each_tile_deltas_once(monkeypatch, m):
 
 
 @pytest.mark.parametrize("name", ["S1", "S2", "T1", "T2"])
-def test_shared_gradient_pass_equals_one_margin_calls(monkeypatch, name):
+def test_gradient_margins_byte_identical_for_any_tile_and_threads(monkeypatch, name):
     X = _cut_band_sets()[name]
     margins = (1e-12, 1e-2)
-    singles = [_bytes(energy_gradient(X, 0.5, cut_margin=c)) for c in margins]
+    monkeypatch.setenv("RIESZ_THREADS", "1")
+    default = [_bytes(energy_gradient(X, 0.5, cut_margin=c)) for c in margins]
     # the band between the two cuts is populated, so the margins differ
-    assert singles[0] != singles[1]
+    assert default[0] != default[1]
     for tile in (energy.TILE_ELEMS, 1):
         monkeypatch.setattr(energy, "TILE_ELEMS", tile)
         for threads in ("1", "2"):
             monkeypatch.setenv("RIESZ_THREADS", threads)
-            shared = energy._chunked_pass(X, gradient=(0.5, margins)).gradients
-            assert [_bytes(g) for g in shared] == singles
+            assert [_bytes(energy_gradient(X, 0.5, cut_margin=c)) for c in margins] == default
 
 
 @pytest.mark.parametrize("X", [
