@@ -8,9 +8,14 @@ The estimator takes the maximum over a finite center set (all code points
 plus seeded uniform extras) and is therefore a certified lower bound on
 the true discrepancy, never an upper one.
 
-The jump values come from energy._chunked_pass, the one chunked, tiled
-pass over squared distances (sq_dist), with the centers as its rows.  The
-rate sweep asks the same pass for the energy too, and calls
+The maximum comes from energy._chunked_pass, the one chunked, tiled pass
+over squared distances (sq_dist), with the centers as its rows.  It sorts
+every row, prices only those that comparisons against a table of ball
+volumes cannot certify below the running maximum, seeds every chunk with
+the best of the chunks' first rows, and combines the chunks' (value,
+index) pairs in chunk order, a tie going to the smaller index: the
+estimate's center is the first of largest value for any thread count.
+The rate sweep asks the same pass for the energy too, and calls
 min_geodesic_distance for the separation, so its row equals the three
 separate calls by construction.
 """
@@ -73,6 +78,7 @@ def center_discrepancy(X, y: Point):
     """
     center = _center(X, y)[None, None, :]
     Q = X.manifold.sq_dist(center, X.coords[None, :, :])
+    Q.sort(axis=1)
     above, below = _jump_values(X.manifold, Q)
     vals = np.concatenate([above[0], below[0]])
     radii = np.tile(X.manifold.dist_from_sq(Q[0]), 2)
@@ -93,12 +99,12 @@ def _tiled_pass(X, extra_centers: int | None, seed: int, s: float | None = None)
     without s.  Coincident points raise the energy's DomainError.
     """
     n = X.n
-    extra_centers = as_sized_count(  # centers, rows, jumps
+    extra_centers = as_sized_count(  # the sphere's draw and its copies, then centers and rows
         "extra_centers", 4 * n if extra_centers is None else extra_centers, 0,
-        8 * (2 * X.manifold.ambient_dim + 3))
+        8 * (2 * X.manifold.ambient_dim + 2))
     extra = X.manifold._sample(stream(seed, "discrepancy-centers"), extra_centers)
     result = _chunked_pass(X, s=s, extra=extra)
-    k = int(np.argmax(result.jumps))  # first occurrence = smallest center index
+    k = int(result.jump[1])  # the first center that attains the largest jump value
     center = Point((X.coords[k] if k < n else extra[k - n]).copy())
     value, radius, side = center_discrepancy(X, center)
     estimate = DiscrepancyEstimate(

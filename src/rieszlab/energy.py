@@ -7,8 +7,8 @@ injectivity radius r0 it is taken by parts, on every manifold alike:
 small_ball_energy(r0) + diam^(-s) - r0^(-s) V(r0) + s * the integral of
 r^(-s-1) V(r) from r0 to the diameter.
 
-The energy, the pairwise distances, the discrepancy jump values and the
-gradient all come from _chunked_pass, the one chunked, tiled pass over
+The energy, the pairwise distances, the largest discrepancy jump value and
+the gradient all come from _chunked_pass, the one chunked, tiled pass over
 the squared distances (sq_dist).  It walks its rows in chunks of
 CHUNK_ROWS consecutive points; the chunk is the unit of thread work and
 of the first math.fsum level (the energy sums each chunk's row sums,
@@ -30,6 +30,21 @@ pass keeps the tile's axis deltas (Manifold._axis_deltas) that Q is
 summed from, and the gradient reads them.  Both sizes depend on N only,
 never on the thread count (RIESZ_THREADS), and the kernel makes no BLAS
 call, so results agree bit for bit for any number of threads.
+
+The discrepancy reduction wants only the largest jump value over the
+centers and the first center that attains it, so it computes ball volumes
+only for rows that can still hold that maximum.  The pass tabulates the
+volume V once, at min(TILE_ELEMS, 8N) uniform q from 0 to the squared
+diameter.  Whenever a chunk's running maximum t rises, np.searchsorted on
+the table turns (i + 1)/N - t + JUMP_EPS and i/N + t - JUMP_EPS into
+threshold vectors qa and qb; a sorted row with qa <= q_(i) <= qb at every i
+lies below t by comparisons alone, and every other row is priced exactly
+(_jump_values) and may raise t.  Before the pass the first row of each
+chunk is priced, one at a time, and every chunk starts from the largest of
+these values at its first index, so the rows a chunk prices depend on the
+chunk alone.  The chunks' (value, index) pairs are combined in chunk order:
+a larger value wins, and an equal one wins at a smaller index, because the
+seed's index can follow a tying row of an earlier chunk.
 """
 
 from __future__ import annotations
@@ -51,6 +66,9 @@ CHUNK_ROWS = 256
 # Entries per sq_dist call (128 KiB of float64).  A tile splits the rows,
 # never a row, so every row vector is reduced whole whatever its size.
 TILE_ELEMS = 16384
+# Margin of the comparison check on discrepancy rows (_thresholds): far
+# above the rounding of the ball volumes and of their table.
+JUMP_EPS = 1e-12
 
 
 def _check_real(s) -> None:
@@ -152,13 +170,12 @@ def _tile_gradient(m, s, margin, x, y, deltas, Q, upper, buffers):
 def _jump_values(m: Manifold, Q: np.ndarray):
     """Jump values |empirical - volume| for a block of centers.
 
-    Q holds the squared distances (sq_dist) from each center to the N code
-    points, one row per center; it is sorted in place.  Returns (above,
-    below): above[c, i] is the value with the ball closed at the i-th
-    sorted distance, below[c, i] the one-sided limit from beneath it.
+    Q holds the sorted squared distances (sq_dist) from each center to the
+    N code points, one row per center.  Returns (above, below): above[c, i]
+    is the value with the ball closed at the i-th sorted distance,
+    below[c, i] the one-sided limit from beneath it.
     """
     n = Q.shape[1]
-    Q.sort(axis=1)
     V = m.volume_from_sq(Q)
     counts = np.arange(1, n + 1, dtype=float) / n
     above = counts[None, :] - V
@@ -166,8 +183,45 @@ def _jump_values(m: Manifold, Q: np.ndarray):
     return above, below
 
 
+def _row_values(m: Manifold, Q: np.ndarray) -> np.ndarray:
+    """The largest jump value of each sorted row of Q (_jump_values)."""
+    above, below = _jump_values(m, Q)
+    return np.maximum(above.max(axis=1), below.max(axis=1))
+
+
+def _volume_table(m: Manifold, n: int):
+    """The ball volume V at min(TILE_ELEMS, 8N) uniform q from 0 to the
+    squared diameter, and those q with -inf before and inf after them."""
+    q = np.linspace(0.0, m._sq_diameter, min(TILE_ELEMS, 8 * n))
+    return m.volume_from_sq(q), np.concatenate(([-np.inf], q, [np.inf]))
+
+
+def _thresholds(table, n: int, t: float):
+    """Threshold vectors (qa, qb) of the running maximum t: a sorted row
+    q_(0) <= ... <= q_(N-1) with qa <= q_(i) <= qb at every i has every
+    jump value below t - JUMP_EPS.
+
+    qa_i is the first tabulated q with V >= (i + 1)/N - t + JUMP_EPS, qb_i
+    the last with V <= i/N + t - JUMP_EPS (inf and -inf where there is
+    none), so V(q_(i)) lies between them as V is nondecreasing.  A binary
+    search only returns entries it compared, so a table V that rounding
+    leaves a few ulps from monotone still gives true bounds.
+    """
+    V, edges = table
+    counts = np.arange(1, n + 1, dtype=float) / n
+    qa = edges[np.searchsorted(V, counts - t + JUMP_EPS, "left") + 1]
+    qb = edges[np.searchsorted(V, counts - 1.0 / n + t - JUMP_EPS, "right")]
+    return qa, qb
+
+
+def _rank(jump):
+    """Order of (value, center index) pairs: the larger value, then the
+    smaller index, is the better."""
+    return jump[0], -jump[1]
+
+
 # What _chunked_pass returns; a reduction not asked for is None.
-_PassResult = namedtuple("_PassResult", "energy distances jumps gradient")
+_PassResult = namedtuple("_PassResult", "energy distances jump gradient")
 
 
 def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _PassResult:
@@ -177,7 +231,8 @@ def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _Pas
     - s: the energy, from the kernel row sums of each tile;
     - distances: the N(N-1)/2 pairwise distances, row-major;
     - extra: (M, d) discrepancy centers after the N code points, M >= 0;
-      the jumps are the largest jump value of each of the N + M centers;
+      the jump is (value, index): the largest jump value over the N + M
+      centers and the first center that attains it;
     - gradient: (s, cut_margin), without extra: the energy_gradient.
 
     The rows (code points, then extra centers) are walked in chunks of
@@ -190,22 +245,40 @@ def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _Pas
     masked entries (0 for the kernel and the gradient weights), and the
     distances gather each row from its diagonal on.  The tile is checked
     for coincident pairs once, then read by every pair reduction before
-    the jump values sort it.  Each chunk's gradient partial is folded into
+    the jump check sorts it.  Each chunk's gradient partial is folded into
     the totals in chunk order as it comes back.
+
+    The jump prices a sorted center row (_row_values) only if the
+    _thresholds of the running maximum t, on one _volume_table per pass,
+    cannot certify it below t.  Every chunk starts from one seed, the
+    chunks' first rows priced one at a time and the largest kept at its
+    first index, and keeps its best (value, index) by _rank; the chunks'
+    bests are combined in chunk order by _rank too, so a tie goes to the
+    smaller index even when the seed's index follows a tying row.
     """
     m, n = X.manifold, X.n
     rows = X.coords if extra is None else np.concatenate([X.coords, extra])
     cols = X.coords.T.copy().T[None]  # (1, N, d), each axis contiguous for the deltas
+    chunks = chunk_ranges(len(rows), CHUNK_ROWS)
     pairs = s is not None or distances or gradient is not None
     if gradient is not None:
         totals = np.zeros((m.ambient_dim, n))
+    if extra is not None:
+        table = _volume_table(m, n)
+        # each chunk's first row, priced one row at a time
+        seed = max(((_row_values(m, np.sort(m.sq_dist(rows[lo:lo + 1, None, :], cols)))[0], lo)
+                    for lo, _ in chunks), key=_rank)
+        seed_check = _thresholds(table, n, seed[0])
+    else:
+        seed = seed_check = None
 
     def work(chunk):
         # the thread unit is a chunk, not a tile: tile-sized tasks made two
         # threads slower than one
         lo, hi = chunk
         start = lo if extra is None else 0
-        sums, dists, jumps, grad_rows = [], [], [], []
+        sums, dists, grad_rows = [], [], []
+        best, check = seed, seed_check
         tiles = _tile_ranges(lo, hi, n - start)
         if gradient is not None:
             # the column sums and a tile's terms, sized by the first tile
@@ -229,14 +302,22 @@ def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _Pas
                     grad_rows.append(_tile_gradient(m, *gradient, rows[a:b], cols[0, lo:].T,
                                                     deltas, T, upper, buffers))
             if extra is not None:
-                above, below = _jump_values(m, Q)
-                jumps.append(np.maximum(above.max(axis=1), below.max(axis=1)))
+                Q.sort(axis=1)
+                qa, qb = check
+                live = np.flatnonzero(~np.all((Q >= qa) & (Q <= qb), axis=1))
+                if len(live):
+                    values = _row_values(m, Q[live])
+                    k = np.argmax(values)  # the tile's first row of largest value
+                    top = max(best, (values[k], a + live[k]), key=_rank)
+                    if top[0] > best[0]:
+                        check = _thresholds(table, n, top[0])
+                    best = top
         partial = None
         if gradient is not None:
             # row sums minus column sums over points lo..N-1
             partial = -buffers[:, 0]
             partial[:, :hi - lo] += np.concatenate(grad_rows, axis=1)
-        return lo, partial, (sums, dists, jumps)
+        return lo, partial, (sums, dists, best)
 
     def fold(out):
         lo, partial, reductions = out
@@ -244,14 +325,13 @@ def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _Pas
             totals[:, lo:] += partial
         return reductions
 
-    sums, dists, jumps = zip(*map_ordered(
-        work, chunk_ranges(len(rows), CHUNK_ROWS), fold))
+    sums, dists, jumps = zip(*map_ordered(work, chunks, fold))
     return _PassResult(
         # correctly rounded within each chunk, then over the chunks: this fixes the bits
         None if s is None else 2.0 * math.fsum(
             math.fsum(np.concatenate(c)) for c in sums if c) / (n * n),
         np.concatenate([t for c in dists for t in c]) if distances else None,
-        None if extra is None else np.concatenate([t for c in jumps for t in c]),
+        None if extra is None else max(jumps, key=_rank),
         # the folded sums scaled, then projected
         None if gradient is None else m._project_tangent(
             X.coords, 2.0 * gradient[0] / (n * n) * np.ascontiguousarray(totals.T)))

@@ -267,6 +267,9 @@ class Manifold(ABC):
         """Ball volume at a radius or a 1-D array of radii, all strictly
         below the diameter; unchecked."""
 
+    # The sq_dist value at the diameter, where volume_from_sq reaches 1.
+    _sq_diameter: float
+
     # The radii from the injectivity radius to the diameter at which the
     # ball volume changes formula; continuous_energy integrates between them.
     _volume_breaks: tuple
@@ -402,6 +405,7 @@ class Sphere(Manifold):
         dist = 2.0 * np.arctan(np.sqrt(Q / plus))
         return dist, dist, np.sqrt(Q * plus) / 2.0
 
+    _sq_diameter = 4.0
     _volume_breaks = (math.pi,)
 
     def _ball_volume(self, r):
@@ -470,7 +474,7 @@ class FlatTorus(Manifold):
         # clipped-ball formulas, on those entries only
         arr = _contiguous(q)
         q = np.atleast_1d(arr)
-        top = self.dim / 4.0  # the squared diameter
+        top = self._sq_diameter
         out = _unit_ball_volume(self.dim) * q ** (self.dim / 2.0)
         big = (q > 0.25) & (q < top)
         if np.any(big):
@@ -505,6 +509,10 @@ class FlatTorus(Manifold):
 
     def _ball_volume(self, r):
         return self.volume_from_sq(r * r)
+
+    @property
+    def _sq_diameter(self):
+        return self.dim / 4.0
 
     @property
     def _volume_breaks(self):

@@ -6,6 +6,9 @@ scanning radii and counting, ball volumes by grid indicators.
 
 import numpy as np
 
+from rieszlab import Point, center_discrepancy
+from rieszlab.rng import stream
+
 
 def scan_center_discrepancy(X, center, radii_count=100_000):
     """Brute-force sup over radii for one center: evaluate the two-sided
@@ -20,6 +23,20 @@ def scan_center_discrepancy(X, center, radii_count=100_000):
     counts = np.searchsorted(d, probes, side="right") / X.n
     vols = m.ball_volume(probes)
     return float(np.max(np.abs(counts - vols)))
+
+
+def best_center(X, extra_centers, seed):
+    """(value, center index, radius, side) of the largest center_discrepancy
+    over the N code points and the extra_centers uniform centers that
+    estimate_discrepancy draws for the seed, ties to the first index: one
+    center at a time, with no pass and no pruning."""
+    extra = X.manifold._sample(stream(seed, "discrepancy-centers"), extra_centers)
+    best = None
+    for k, center in enumerate(np.concatenate([X.coords, extra])):
+        value, radius, side = center_discrepancy(X, Point(center))
+        if best is None or value > best[0]:
+            best = (value, k, radius, side)
+    return best
 
 
 def grid_torus_ball_volume(dim, cells=256):

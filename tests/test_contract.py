@@ -286,7 +286,7 @@ def test_distance_cdf_past_the_memory_is_an_input_error_before_the_pass(eight_gi
 
 
 def test_default_centers_past_the_memory_are_an_input_error_before_the_pass(monkeypatch):
-    # 2 * 10^4 points default to 80,000 extra centers at 56 bytes each on
+    # 2 * 10^4 points default to 80,000 extra centers at 48 bytes each on
     # T^2; the set is built outside the measured run
     X = rl.PointSet(T2, np.random.default_rng(0).random((20_000, 2)))
     monkeypatch.setattr(errors, "PHYSICAL_MEMORY", 1 << 20)
@@ -354,3 +354,16 @@ def test_only_the_descent_takes_a_tolerance():
         if "tol" in parameters:
             takers.append(name)
     assert takers == ["minimize_riesz_energy"]
+
+
+@pytest.mark.parametrize("m", [rl.sphere(5), rl.flat_torus(3)], ids=["S5", "T3"])
+def test_extra_center_budget_covers_the_pass(monkeypatch, m):
+    # 8 (2 ambient_dim + 2) bytes a center: the sphere's draw and its
+    # copies, then the centers and their rows.  The growth of the peak from
+    # 25,000 to 50,000 centers leaves out the pass's fixed part, and on one
+    # thread it has the same bytes every run (the S^5 draw meets the budget
+    # exactly); the first call imports what the pass needs
+    monkeypatch.setenv("RIESZ_THREADS", "1")
+    X = rl.sample_uniform(m, 0, 32)
+    peaks = [_peak_bytes(lambda: rl.estimate_discrepancy(X, c)) for c in (25_000, 25_000, 50_000)]
+    assert peaks[2] - peaks[1] <= 8 * (2 * m.ambient_dim + 2) * 25_000

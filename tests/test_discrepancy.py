@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from rieszlab import (InputError, Point, PointSet, ball_count, center_discrepancy,
-                      estimate_discrepancy, fibonacci_sphere, flat_torus,
-                      kronecker_torus, sample_uniform, sphere)
+                      estimate_discrepancy, farthest_point_sample, fibonacci_sphere,
+                      flat_torus, kronecker_torus, sample_uniform, sphere)
+from rieszlab import energy
 from rieszlab.rng import stream
-from oracles import scan_center_discrepancy
+from oracles import best_center, scan_center_discrepancy
 
 
 def circle_points(n):
@@ -180,3 +181,99 @@ def test_estimate_default_extras_is_4n():
     X = fibonacci_sphere(25)
     est = estimate_discrepancy(X)
     assert est.center_set["extra_centers"] == 100
+
+
+# ----------------------------------------------------------------------
+# the comparison check: rows priced only where the maximum can be
+# ----------------------------------------------------------------------
+
+def _mirror_t1():
+    """Eight points of T^1 on the grid k/64, symmetric under x -> -x: the
+    centers 63/64 (index 1) and 1/64 (index 3) see the same distances, bit
+    for bit, and both attain the maximum."""
+    grid = [4, 63, 60, 1, 5, 59, 16, 48]
+    return PointSet(flat_torus(1), np.array(grid, dtype=float)[:, None] / 64)
+
+
+def _cluster():
+    """300 uniform points of S^2 and a dense cluster of 60 more within
+    about 1e-3 of one of them."""
+    X = sample_uniform(sphere(2), 12, 300)
+    rng = np.random.default_rng(5)
+    cluster = X.coords[0] + 1e-3 * rng.standard_normal((60, 3))
+    cluster /= np.linalg.norm(cluster, axis=1, keepdims=True)
+    return PointSet(sphere(2), np.concatenate([X.coords, cluster]))
+
+
+ADVERSARIAL = {
+    # equally spaced circles: every row has the same value up to rounding
+    **{f"S1-{n}": (lambda n=n: circle_points(n)) for n in (5, 10, 50, 512)},
+    "T1-mirror": _mirror_t1,
+    "S2-cluster": _cluster,
+}
+
+
+def _estimate(est):
+    return est.value, est.center_index, est.radius, est.side
+
+
+def _estimate_bytes(est):
+    return (np.float64(est.value).tobytes(), est.center_index,
+            np.float64(est.radius).tobytes(), est.side)
+
+
+@pytest.mark.parametrize("extra", [0, 40])
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_estimate_is_first_best_center_on_adversarial_sets(name, extra):
+    X = ADVERSARIAL[name]()
+    est = estimate_discrepancy(X, extra_centers=extra, seed=6)
+    assert _estimate(est) == best_center(X, extra, 6)
+
+
+@pytest.mark.parametrize("chunk", [256, 3, 1])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_tie_goes_to_first_center_for_any_chunk_seed(monkeypatch, chunk, threads):
+    # with 3-row chunks the seed is row 3, the first row of the second
+    # chunk, and row 1 of the first chunk ties with it: row 1 is kept
+    X = _mirror_t1()
+    first, mirror = (center_discrepancy(X, X.point(k)) for k in (1, 3))
+    assert np.float64(first[0]).tobytes() == np.float64(mirror[0]).tobytes()
+    monkeypatch.setattr(energy, "CHUNK_ROWS", chunk)
+    monkeypatch.setenv("RIESZ_THREADS", threads)
+    est = estimate_discrepancy(X, extra_centers=0)
+    assert _estimate(est) == best_center(X, 0, 0) == (first[0], 1, first[1], first[2])
+
+
+def test_check_prices_few_rows(monkeypatch):
+    # the pass prices the chunks' first rows and the rows the check leaves
+    X = farthest_point_sample(sphere(3), 2048, 1)
+    priced = []
+    jump_values = energy._jump_values
+
+    def counting(m, Q):
+        priced.append(len(Q))
+        return jump_values(m, Q)
+
+    monkeypatch.setattr(energy, "_jump_values", counting)
+    est = estimate_discrepancy(X, extra_centers=0)
+    assert 0 < sum(priced) < X.n / 4
+    monkeypatch.setattr(energy, "_jump_values", jump_values)
+    assert _estimate(est) == _estimate(estimate_discrepancy(X, extra_centers=0))
+
+
+THREAD_SETS = {
+    **ADVERSARIAL,
+    "S3-uniform": lambda: sample_uniform(sphere(3), 8, 600),
+    "T2-kronecker": lambda: kronecker_torus(2, 700),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREAD_SETS))
+def test_estimate_bytes_identical_for_any_thread_count(monkeypatch, name):
+    X = THREAD_SETS[name]()
+    results = []
+    for threads in ("1", "2", "8"):
+        monkeypatch.setenv("RIESZ_THREADS", threads)
+        # 400 extras: at least three chunks, each seeded from every chunk's first row
+        results.append(_estimate_bytes(estimate_discrepancy(X, extra_centers=400, seed=3)))
+    assert results[1:] == results[:-1]

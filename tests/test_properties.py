@@ -4,8 +4,9 @@ T^1 and T^2), of the energy gradient, the energy and the separation under a
 permutation of the points, of the energy, the separation and the discrepancy
 under an isometry, of the symmetry of the axis deltas and the squared
 distances, of the small-ball energy on S^1-S^5, T^2 and T^3, of the
-packing pool on S^1-S^5 and T^1-T^3, and of wrapping a point set on
-S^1-S^9 and T^1-T^3."""
+packing pool on S^1-S^5 and T^1-T^3, of the discrepancy estimate against
+a center-by-center maximum on S^1-S^5 and T^1-T^3, and of wrapping a point
+set on S^1-S^9 and T^1-T^3."""
 
 import math
 
@@ -20,7 +21,9 @@ from rieszlab import (PointSet, ball_volume, discrete_energy, energy_gradient,
                       minimize_riesz_energy, sample_uniform, sphere)
 from rieszlab.energy import small_ball_energy
 from rieszlab.manifold import SQRT2_2, SQRT3_2
+from rieszlab.pointsets import generate_pointset
 from rieszlab.verify import _packing_pool
+from oracles import best_center
 from test_tiles import _cut_band_sets
 from test_verify import _independent_distances
 
@@ -239,6 +242,21 @@ def test_packing_pool_lies_in_the_ball(name, seed, fraction):
     x, r = m._sample(rng, 1)[0], fraction * m.diameter
     pool = _packing_pool(m, x, r, 64, rng)
     assert np.all(_independent_distances(m, x, pool) <= r * (1.0 + 1e-12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(POOL_MANIFOLDS)), st.sampled_from(["uniform", "farthest-point"]),
+       st.integers(1, 300), st.one_of(st.just(0), st.integers(1, 300)), st.integers(0, 2 ** 16))
+@example("S1", "farthest-point", 300, 0, 0)
+@example("T3", "farthest-point", 300, 300, 1)
+@example("S5", "uniform", 1, 5, 2)
+def test_estimate_is_the_first_best_center(name, generator, n, extra, seed):
+    # the pass certifies rows by comparisons and prices the rest; the
+    # oracle prices every center, one at a time
+    m = POOL_MANIFOLDS[name]
+    X = generate_pointset(m, generator, n, seed)
+    est = estimate_discrepancy(X, extra_centers=extra, seed=seed)
+    assert (est.value, est.center_index, est.radius, est.side) == best_center(X, extra, seed)
 
 
 WRAP_MANIFOLDS = {**{f"S{d}": sphere(d) for d in range(1, 10)},
