@@ -233,7 +233,9 @@ def _chunked_pass(X, s=None, distances=False, extra=None, gradient=None) -> _Pas
     - extra: (M, d) discrepancy centers after the N code points, M >= 0;
       the jump is (value, index): the largest jump value over the N + M
       centers and the first center that attains it;
-    - gradient: (s, cut_margin), without extra: the energy_gradient.
+    - gradient: (s, cut_margin), without extra: the energy_gradient;
+      with s as well, the tiles are walked once for both (the descent's
+      trial passes).
 
     The rows (code points, then extra centers) are walked in chunks of
     CHUNK_ROWS, each in tiles of whole rows.  A tile's columns are the code

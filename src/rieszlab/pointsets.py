@@ -7,7 +7,8 @@ on the Riesz energy as a refiner.
 Separation is one exact sort-and-sweep scan along axis 0 on every
 manifold (_closest_pair): serial, so its bits do not depend on the thread
 count.  Each descent iteration searches the smoothed gradient first and
-computes the full one only as its fallback.
+computes the full one only as its fallback; the smoothed gradient comes
+from the same pass as the energy of the trial that produced the set.
 """
 
 from __future__ import annotations
@@ -183,7 +184,9 @@ def farthest_point_sample(m: Manifold, n: int, seed: int, candidate_pool: int | 
     candidates within sqrt(best[p]) of it, and best[p] is the largest, so
     after each pick only the slab of the pool sorted by axis 0 within that
     reach (plus rounding slack) is rescored: the picks are those of a
-    rescan of the whole pool.
+    rescan of the whole pool.  The pool is kept in that axis-0 order, so an
+    exact tie in best goes to the candidate with the smaller axis-0
+    coordinate, not to the earlier draw.
     """
     row = 8 * (3 * m.ambient_dim + 4)  # a candidate's coordinates and copies, best, order
     n = as_sized_count("n", n, 1, 10 * row)  # the pool holds at least 10 n candidates
@@ -195,18 +198,17 @@ def farthest_point_sample(m: Manifold, n: int, seed: int, candidate_pool: int | 
     chosen = [start]
     if n > 1:
         pool = m._sample(rng, candidate_pool)
+        pool = pool[np.argsort(pool[:, 0], kind="stable")]
+        cols = pool.T.copy()  # each axis contiguous
         # squared distances order the candidates as the distances do
         best = m.sq_dist(start, pool)
-        order = np.argsort(pool[:, 0], kind="stable")
-        cols = pool[order].T.copy()  # sorted by axis 0, each axis contiguous
         for _ in range(n - 1):
             pick = int(np.argmax(best))
             chosen.append(pool[pick].copy())
             # beyond reach the axis-0 delta alone squares above best[pick]
             reach = _axis0_reach(best[pick])
             for a, b in m._axis0_ranges(cols[0], pool[pick, 0], reach):
-                near = order[a:b]
-                best[near] = np.minimum(best[near], m.sq_dist(pool[pick], cols[:, a:b].T))
+                np.minimum(best[a:b], m.sq_dist(pool[pick], cols[:, a:b].T), out=best[a:b])
     return PointSet(m, np.array(chosen), provenance={
         "generator": "farthest-point",
         "seed": int(seed),
@@ -241,21 +243,31 @@ def generate_pointset(m: Manifold, generator: str, n: int, seed: int,
 # Riesz energy descent
 # ----------------------------------------------------------------------
 
-def _line_search(X: PointSet, s: float, grad, energy_now: float, eta: float):
+def _energy_pass(X: PointSet, s: float, speculate: bool):
+    """One _chunked_pass for the energy of X and, with speculate, its
+    smoothed gradient (cut margin 1e-2): the tiles are walked once for both."""
+    return _energy._chunked_pass(X, s=s, gradient=(s, 1e-2) if speculate else None)
+
+
+def _line_search(X: PointSet, s: float, grad, energy_now: float, eta: float, speculate: bool):
     """The first trial exp_X(-eta * grad), eta halved up to 60 times, whose
-    energy is below energy_now, as (set, energy); (None, energy_now) when no
-    trial is.  A trial with coincident points has no energy: no decrease."""
+    energy is below energy_now, as (set, energy, gradient); (None,
+    energy_now, None) when no trial is.  With speculate, the first trial's
+    pass also reduces its smoothed gradient, which the next iteration
+    searches when that trial is accepted; halved trials reduce the energy
+    alone, and return gradient None.  A trial with coincident points has no
+    energy: no decrease."""
     m = X.manifold
-    for _ in range(60):
+    for k in range(60):
         trial = PointSet(m, m.exp_array(X.coords, -eta * grad))
         try:
-            e = _energy.discrete_energy(trial, s)
+            got = _energy_pass(trial, s, speculate and k == 0)
         except DomainError:
-            e = math.inf
-        if e < energy_now:
-            return trial, e
+            got = None
+        if got is not None and got.energy < energy_now:
+            return trial, got.energy, got.gradient
         eta /= 2.0
-    return None, energy_now
+    return None, energy_now, None
 
 
 def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
@@ -268,6 +280,13 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
     full (sub)gradient, cut margin 1e-12, searched.  Steps start at
     0.1 * N^(-1/d) and halve, at most 60 times, until the energy decreases.
 
+    One pass per iteration: the pass that gives the starting set's energy,
+    and each search's first trial pass, also reduce the set's smoothed
+    gradient, so an accepted first trial hands the next iteration its
+    gradient.  Only an accepted halved trial or the fallback costs a
+    gradient pass of its own.  The last allowed iteration's trials reduce
+    the energy alone, since nothing reads their gradient.
+
     The provenance holds the energy trace of accepted iterates,
     "iterations" (its length less one) and why the descent stopped:
     "converged" when the relative decrease falls below tol or a computed
@@ -279,18 +298,22 @@ def minimize_riesz_energy(X0: PointSet, s: float, max_iters: int = 500,
     max_iters = as_count("max_iters", max_iters, 0)
     tol = as_real("tol", tol, (">=", 0))
     try:
-        trace = [_energy.discrete_energy(X0, s)]
+        start = _energy_pass(X0, s, max_iters > 0)
     except DomainError as exc:
         raise InputError(f"initial set has {exc}") from exc
+    trace, smooth = [start.energy], start.gradient
     eta0 = 0.1 * X0.n ** (-1.0 / X0.manifold.dim)
     current, converged, line_search_failed = X0, False, False
-    for _ in range(max_iters):
+    for k in range(max_iters):
+        speculate = k + 1 < max_iters
+        if smooth is None:  # a halved trial was accepted
+            smooth = _energy.energy_gradient(current, s, 1e-2)
         trial, zero = None, False
         for margin in (1e-2, 1e-12):  # the full gradient is the cut-locus rescue
-            grad = _energy.energy_gradient(current, s, margin)
+            grad = smooth if margin == 1e-2 else _energy.energy_gradient(current, s, margin)
             zero = zero or not np.any(grad)
             if np.any(grad):
-                trial, e = _line_search(current, s, grad, trace[-1], eta0)
+                trial, e, smooth = _line_search(current, s, grad, trace[-1], eta0, speculate)
                 if trial is not None:
                     break
         if trial is None:

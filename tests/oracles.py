@@ -130,3 +130,51 @@ def greedy_farthest_point(m, n, seed, candidate_pool):
         radii.append(float(np.sqrt(best[pick])))
         best = np.minimum(best, m.sq_dist(pool[pick], pool))
     return np.array(chosen), np.array(radii)
+
+
+def two_pass_descent(X0, s, max_iters=500, tol=1e-12):
+    """Riemannian gradient descent on the discrete Riesz energy from public
+    calls alone, two passes over the pairs an iteration: energy_gradient
+    for the current set, discrete_energy for each trial.
+
+    Each iteration searches the smoothed gradient (cut margin 1e-2) and,
+    only if it is zero or finds no decrease, the full one (1e-12).  A search
+    tries exp_X(-eta * grad) from eta = 0.1 N^(-1/d), halved up to 60
+    times, and takes the first trial whose energy is lower; a trial with
+    coincident points is no decrease.  The descent stops when no search
+    succeeds or the relative decrease is below tol.
+
+    Returns (coords, energy trace of the accepted sets)."""
+    import math
+
+    from rieszlab import DomainError, PointSet, discrete_energy, energy_gradient
+
+    m = X0.manifold
+    current, trace = X0, [discrete_energy(X0, s)]
+    eta0 = 0.1 * X0.n ** (-1.0 / m.dim)
+    for _ in range(max_iters):
+        accepted = None
+        for margin in (1e-2, 1e-12):
+            grad = energy_gradient(current, s, margin)
+            if not np.any(grad):
+                continue
+            eta = eta0
+            for _ in range(60):
+                trial = PointSet(m, m.exp_array(current.coords, -eta * grad))
+                try:
+                    e = discrete_energy(trial, s)
+                except DomainError:
+                    e = math.inf
+                if e < trace[-1]:
+                    accepted = trial
+                    break
+                eta /= 2.0
+            if accepted is not None:
+                break
+        if accepted is None:
+            break
+        current = accepted
+        trace.append(e)
+        if (trace[-2] - e) / trace[-2] < tol:
+            break
+    return current.coords, trace

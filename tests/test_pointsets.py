@@ -9,7 +9,7 @@ from rieszlab import (FlatTorus, InputError, PointSet, discrete_energy, energy_g
                       minimize_riesz_energy, sample_uniform, sphere)
 from rieszlab.discrepancy import center_discrepancy
 
-from oracles import greedy_farthest_point
+from oracles import greedy_farthest_point, two_pass_descent
 
 GAMMA_HAT_FIBONACCI_1000 = 3.0931212909505437  # frozen from the brute-force scan
 
@@ -333,12 +333,18 @@ def test_descent_distinct_output():
     assert min_geodesic_distance(out).min_distance > 0
 
 
+def _s1_pair():
+    return PointSet(sphere(1), [[1.0, 0.0], [math.cos(2.5), math.sin(2.5)]])
+
+
+def _t1_triple():
+    return PointSet(flat_torus(1), [[0.1], [0.45], [0.7]])
+
+
 @pytest.mark.parametrize("make,s,kwargs,stop", [
     (lambda: PointSet(sphere(1), [[1.0, 0.0], [-1.0, 0.0]]), 0.5, {}, (0, True, False)),
-    (lambda: PointSet(sphere(1), [[1.0, 0.0], [math.cos(2.5), math.sin(2.5)]]), 0.5,
-     {"max_iters": 2000, "tol": 1e-14}, (125, True, False)),
-    (lambda: PointSet(flat_torus(1), [[0.1], [0.45], [0.7]]), 0.5,
-     {"max_iters": 5000, "tol": 0.0}, (54, False, True)),
+    (_s1_pair, 0.5, {"max_iters": 2000, "tol": 1e-14}, (125, True, False)),
+    (_t1_triple, 0.5, {"max_iters": 5000, "tol": 0.0}, (54, False, True)),
     (lambda: sample_uniform(sphere(2), 0, 64), 1.0, {"max_iters": 3, "tol": 0.0},
      (3, False, False)),
 ], ids=["zero-gradient", "tol", "line-search-failed", "max-iters"])
@@ -350,37 +356,75 @@ def test_descent_stop_reasons(make, s, kwargs, stop):
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
-@pytest.mark.parametrize("make,s,kwargs,fallback", [
-    (lambda: sample_uniform(sphere(2), 6, 300), 1.0, {"max_iters": 4, "tol": 0.0}, False),
-    (lambda: sample_uniform(flat_torus(2), 7, 300), 1.0, {"max_iters": 4, "tol": 0.0}, False),
-    (lambda: PointSet(sphere(1), [[1.0, 0.0], [math.cos(2.5), math.sin(2.5)]]), 0.5,
-     {"max_iters": 2000, "tol": 1e-14}, True),
-], ids=["S2", "T2", "S1-pair"])
-def test_descent_one_gradient_pass_per_iteration(monkeypatch, make, s, kwargs, fallback):
-    from rieszlab import energy
+@pytest.mark.parametrize("make,s,kwargs,stop", [
+    (lambda: sample_uniform(sphere(2), 6, 300), 1.0, {"max_iters": 4, "tol": 0.0}, "max-iters"),
+    (lambda: sample_uniform(flat_torus(2), 7, 300), 1.0, {"max_iters": 4, "tol": 0.0},
+     "max-iters"),
+    (_s1_pair, 0.5, {"max_iters": 2000, "tol": 1e-14}, "fallback"),
+    (_t1_triple, 0.5, {"max_iters": 5000, "tol": 0.0}, "line-search-failed"),
+], ids=["S2", "T2", "S1-pair", "T1-triple"])
+def test_descent_one_gradient_pass_per_iteration(monkeypatch, make, s, kwargs, stop):
+    from rieszlab import energy, pointsets
     X0 = make()
-    gradients, energies = [], []
-    chunked_pass = energy._chunked_pass
+    # (trial number within its line search or None outside one, gradient
+    # margin or None, whether the energy is reduced), one entry a pass
+    passes, trial = [], [None]
+    chunked_pass, line_search = energy._chunked_pass, pointsets._line_search
 
     def counting(X, **kwargs):
-        if kwargs.get("gradient") is not None:
-            gradients.append(kwargs["gradient"][1])
-        if kwargs.get("s") is not None:
-            energies.append(kwargs["s"])
+        margin = None if kwargs.get("gradient") is None else kwargs["gradient"][1]
+        passes.append((trial[0], margin, kwargs.get("s") is not None))
+        if trial[0] is not None:
+            trial[0] += 1
         return chunked_pass(X, **kwargs)
 
+    def searching(*args):
+        trial[0] = 0
+        try:
+            return line_search(*args)
+        finally:
+            trial[0] = None
+
     monkeypatch.setattr(energy, "_chunked_pass", counting)
+    monkeypatch.setattr(pointsets, "_line_search", searching)
     out = minimize_riesz_energy(X0, s, **kwargs)
-    if fallback:
+    gradients = [margin for _, margin, _ in passes if margin is not None]
+    energies = [k for k, _, reduced in passes if reduced]
+    # halved trials reduce the energy alone
+    assert all(margin is None for k, margin, _ in passes if k)
+    if stop == "max-iters":
+        # each smoothed search succeeds at its first trial, whose pass also
+        # gives the next iteration's gradient: one pass per iteration after
+        # the starting set's, the last iteration's without the gradient
+        assert out.provenance["iterations"] == 4
+        assert gradients == [1e-2] * 4
+        assert len(energies) == 1 + 4
+        assert len(passes) == 5
+    elif stop == "fallback":
         # the pair nears the cut locus, where the smoothed step is blocked:
         # the full gradient's pass runs
         assert 1e-12 in gradients
     else:
-        # each smoothed search succeeds: one gradient pass and one energy
-        # pass per iteration, after the starting energy
-        assert out.provenance["iterations"] == 4
-        assert gradients == [1e-2] * 4
-        assert len(energies) == 1 + 4
+        assert out.provenance["line_search_failed"]
+        assert any(k for k, _, _ in passes)  # searches halved their step
+
+
+@pytest.mark.parametrize("make,s,kwargs", [
+    (lambda: sample_uniform(sphere(2), 6, 300), 1.0, {"max_iters": 4, "tol": 0.0}),
+    (lambda: sample_uniform(flat_torus(2), 7, 300), 1.0, {"max_iters": 4, "tol": 0.0}),
+    (lambda: farthest_point_sample(sphere(3), 200, 1), 1.0, {"max_iters": 20, "tol": 0.0}),
+    (lambda: farthest_point_sample(flat_torus(3), 200, 1), 1.0, {"max_iters": 20, "tol": 0.0}),
+    (_s1_pair, 0.5, {"max_iters": 2000, "tol": 1e-14}),
+    (_t1_triple, 0.5, {"max_iters": 5000, "tol": 0.0}),
+], ids=["S2-uniform", "T2-uniform", "S3-farthest", "T3-farthest", "S1-pair", "T1-triple"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_descent_matches_two_pass_oracle(monkeypatch, make, s, kwargs, threads):
+    monkeypatch.setenv("RIESZ_THREADS", threads)
+    X0 = make()
+    coords, trace = two_pass_descent(X0, s, **kwargs)
+    out = minimize_riesz_energy(X0, s, **kwargs)
+    assert out.coords.tobytes() == coords.tobytes()
+    assert out.provenance["energy_trace"] == trace
 
 
 @pytest.mark.parametrize("make", [lambda: farthest_point_sample(sphere(2), 600, 2),

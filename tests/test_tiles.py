@@ -121,6 +121,8 @@ def test_pass_memory_flat_in_n(monkeypatch, make, n, only, threads):
         "discrepancy": lambda: estimate_discrepancy(X, extra_centers=0),
         "sweep_row": lambda: _tiled_pass(X, 0, 0, 1.0),
         "gradient": lambda: energy_gradient(X, 1.0),
+        # a descent trial's pass: the energy and the next smoothed gradient
+        "energy_gradient": lambda: energy._chunked_pass(X, s=1.0, gradient=(1.0, 1e-2)),
     }
     peaks = {}
     tracemalloc.start()
