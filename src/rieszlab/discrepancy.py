@@ -15,9 +15,8 @@ volumes cannot certify below the running maximum, seeds every chunk with
 the best of the chunks' first rows, and combines the chunks' (value,
 index) pairs in chunk order, a tie going to the smaller index: the
 estimate's center is the first of largest value for any thread count.
-The rate sweep asks the same pass for the energy too, and calls
-min_geodesic_distance for the separation, so its row equals the three
-separate calls by construction.
+The rate sweep asks the same pass for the energy too, so its row equals
+the separate calls by construction.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 from .energy import _chunked_pass, _jump_values
 from .errors import as_real, as_sized_count
 from .manifold import Point, _as_vector
-from .pointsets import min_geodesic_distance
 from .rng import stream
 
 SIDE_ABOVE = "above"   # ball closed at the attaining radius
@@ -90,13 +88,12 @@ def center_discrepancy(X, y: Point):
 def _tiled_pass(X, extra_centers: int | None, seed: int, s: float | None = None):
     """One energy._chunked_pass over the centers: the N code points, then
     extra_centers seeded uniform ones (default 4N, under the same memory
-    check).  With s given, the same pass also reduces the energy, and the
-    separation is min_geodesic_distance itself, so the results are those
-    of the separate calls by construction.
+    check).  With s given, the same pass also reduces the energy, so the
+    results are those of the separate calls by construction.
 
-    Returns (estimate, energy, separation): the DiscrepancyEstimate, the
-    discrete_energy and the min_geodesic_distance report, the last two None
-    without s.  Coincident points raise the energy's DomainError.
+    Returns (estimate, energy): the DiscrepancyEstimate and the
+    discrete_energy, None without s.  Coincident points raise the energy's
+    DomainError.
     """
     n = X.n
     extra_centers = as_sized_count(  # the sphere's draw and its copies, then centers and rows
@@ -121,8 +118,7 @@ def _tiled_pass(X, extra_centers: int | None, seed: int, s: float | None = None)
         },
         provenance=dict(X.provenance),
     )
-    separation = None if s is None else min_geodesic_distance(X)
-    return estimate, result.energy, separation
+    return estimate, result.energy
 
 
 def estimate_discrepancy(X, extra_centers: int | None = None, seed: int = 0) -> DiscrepancyEstimate:

@@ -2,11 +2,10 @@
 geometric schedule, with log-log rate fits.
 
 Each row takes its discrete energy and discrepancy estimate from one
-call of energy._chunked_pass, and its separation from
-min_geodesic_distance, both through discrepancy._tiled_pass.
-discrete_energy and estimate_discrepancy each run the same pass for their
-one reduction, so the row equals the three separate calls by
-construction.
+call of energy._chunked_pass, through discrepancy._tiled_pass, and its
+separation from min_geodesic_distance.  discrete_energy and
+estimate_discrepancy each run the same pass for their one reduction, so
+the row equals the three separate calls by construction.
 
 The discrepancy column is the finite-center lower bound, not the true
 supremum; the fitted constants inherit that caveat and every emitted
@@ -26,7 +25,7 @@ from .discrepancy import _tiled_pass
 from .energy import check_exponent, continuous_energy
 from .errors import DomainError, InputError, as_count
 from .manifold import Manifold
-from .pointsets import generate_pointset
+from .pointsets import generate_pointset, min_geodesic_distance
 from .verify import energy_rate_exponent
 
 CSV_COLUMNS = ["N", "energy_discrete", "energy_continuous", "gap",
@@ -164,7 +163,8 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
         X = generate_pointset(m, cfg.generator, int(n), row_seed,
                               candidate_pool=cfg.generator_params.get("candidate_pool"))
         try:
-            disc, e_disc, sep = _tiled_pass(X, cfg.extra_centers, row_seed, cfg.s)
+            disc, e_disc = _tiled_pass(X, cfg.extra_centers, row_seed, cfg.s)
+            sep = min_geodesic_distance(X)
         except DomainError as exc:  # the energy meets a coincident pair first
             raise InputError(f"generator produced coincident points at N={n}") from exc
         rows.append(RateRow(

@@ -478,7 +478,7 @@ class FlatTorus(Manifold):
         out = _unit_ball_volume(self.dim) * q ** (self.dim / 2.0)
         big = (q > 0.25) & (q < top)
         if np.any(big):
-            out[big] = self._large_ball_volume(np.sqrt(q[big]))
+            out[big] = self._large_ball_volume(q[big])
         out[q >= top] = 1.0
         return float(out[0]) if arr.ndim == 0 else out
 
@@ -519,53 +519,49 @@ class FlatTorus(Manifold):
         # the ball meets the faces at 1/2, the edges at sqrt(2)/2, ...
         return tuple(math.sqrt(k) / 2.0 for k in range(1, self.dim + 1))
 
-    def _large_ball_volume(self, r):
-        """Ball volume for radii in (1/2, diameter)."""
+    def _large_ball_volume(self, q):
+        """Ball volume for squared radii q in (1/4, dim/4)."""
         if self.dim == 2:
-            return self._t2_large(r)
-        if self.dim == 3:
-            return self._t3_large(r)
-        raise InputError(
-            f"torus ball volume for r > 1/2 is only supported for d <= 3 (d={self.dim})")
-
-    @staticmethod
-    def _t2_large(r):
-        # disc of radius r intersected with the centered unit square:
-        # pi r^2 minus the four circular segments beyond the edges.
-        # Exact for 1/2 <= r <= sqrt(2)/2, where 0.5 / r <= 1 and r * r >= 1/4
-        # after rounding too; corner overlaps cannot occur below the diameter.
-        seg = r * r * np.arccos(0.5 / r) - 0.5 * np.sqrt(r * r - 0.25)
-        v = math.pi * r * r - 4.0 * seg
+            # the disc minus its four circular segments beyond the edges of
+            # the centered unit square, which cannot overlap below the
+            # diameter; q - 1/4 is exact for q < 1/2 (Sterbenz)
+            v = math.pi * q - 4.0 * self._segment(q, np.sqrt(q - 0.25))
+        elif self.dim == 3:
+            r = np.sqrt(q)
+            h = r - 0.5
+            cap = math.pi * h * h * (3.0 * r - h) / 3.0
+            v = 4.0 * math.pi * r ** 3 / 3.0 - 6.0 * cap
+            edge = r > SQRT2_2
+            if np.any(edge):
+                v[edge] += 12.0 * self._t3_edge_integral(r[edge])
+        else:
+            raise InputError(
+                f"torus ball volume for r > 1/2 is only supported for d <= 3 (d={self.dim})")
         return np.minimum(v, 1.0)
 
     @staticmethod
-    def _t3_edge_integral(r):
+    def _segment(q, c):
+        # area of the disc of squared radius q beyond a line at 1/2 from its
+        # center, from the half-chord c = sqrt(q - 1/4): the half-angle is
+        # atan(2c), which keeps its digits where acos(1/(2 sqrt(q))) loses them
+        return q * np.arctan(2.0 * c) - 0.5 * c
+
+    def _t3_edge_integral(self, r):
         # volume of {|p| <= r, p_x >= 1/2, p_y >= 1/2}: the overlap of two
         # face caps, needed once adjacent caps intersect (r > sqrt(2)/2).
         # The slice at height x in (1/2, top) is the circular segment of
-        # radius rho beyond the line at 1/2: half-chord c = sqrt(rho^2 - 1/4),
-        # half-angle atan(2c), area rho^2 atan(2c) - c/2.  The substitution
+        # squared radius 1/4 + c^2, c = sqrt(top^2 - x^2).  The substitution
         # x = top - (top - 1/2) u^2 removes the square-root endpoint at
-        # x = top, where rho = 1/2.
+        # x = top, where the segment vanishes.
         top = np.sqrt(r * r - 0.25)
         span = top - 0.5
 
         def slab(u):
             drop = span * (u * u)  # top - x
-            c2 = drop * (2.0 * top - drop)  # rho^2 - 1/4 = top^2 - x^2
-            c = np.sqrt(c2)
-            return ((0.25 + c2) * np.arctan(2.0 * c) - 0.5 * c) * (2.0 * u * span)
+            c2 = drop * (2.0 * top - drop)  # top^2 - x^2
+            return self._segment(0.25 + c2, np.sqrt(c2)) * (2.0 * u * span)
 
         return _gauss_sum(slab, 0.0, 20)
-
-    def _t3_large(self, r):
-        h = r - 0.5
-        cap = math.pi * h * h * (3.0 * r - h) / 3.0
-        v = 4.0 * math.pi * r ** 3 / 3.0 - 6.0 * cap
-        edge = r > SQRT2_2
-        if np.any(edge):
-            v[edge] += 12.0 * self._t3_edge_integral(r[edge])
-        return np.minimum(v, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Start-up: ``import rieszlab`` loads numpy only.
 
-scipy.special and scipy.spatial are imported inside the functions that use
-them, so a command that never needs them never pays for them: scipy.special
-serves only the S^d ball volumes for d >= 3, scipy.spatial only the grid
-separation, and no torus command loads scipy at all.  The radial integrals
-are fixed Gauss rules built with numpy, so no command loads scipy.integrate
-(which pulls in scipy.optimize) or scipy.linalg.  Each test runs in a fresh
+scipy.special is imported inside the one function that uses it, so a
+command that never needs it never pays for it: it serves only the S^d ball
+volumes for d >= 3, and no torus command loads scipy at all.  The radial
+integrals are fixed Gauss rules built with numpy, so no command loads
+scipy.integrate (which pulls in scipy.optimize) or scipy.linalg.  Each test runs in a fresh
 interpreter, because the test process imported scipy long ago.
 """
 
@@ -116,9 +115,11 @@ print(json.dumps([est.value.hex(), est.radius.hex(), est.center_index]))
 """
 
 
-# 256 code points and 1024 extra centers make five chunks, so with more than
-# one thread the first betainc (S^3, which imports scipy.special) or unit-ball
-# volume (T^3, which imports no scipy) runs in a worker
+# 256 code points and 1024 extra centers make five chunks for the workers,
+# but the pass builds its volume table and prices its seed rows before they
+# start, so the first betainc (S^3, which imports scipy.special) or unit-ball
+# volume (T^3, which imports no scipy) always runs on the calling thread: the
+# test checks that the result is the same for any thread count
 @pytest.mark.parametrize("pointset", ["sample_uniform(sphere(3), 5, 256)", "kronecker_torus(3, 256)"],
                          ids=["S3", "T3"])
 def test_first_scipy_special_import_in_worker_threads(tmp_path, pointset):

@@ -47,18 +47,13 @@ def _results(monkeypatch, X, threads):
     # 37 extra centers: for N = 517 the last chunk and a tile cross N
     est = estimate_discrepancy(X, extra_centers=37, seed=4)
     out["discrepancy"] = (_bytes(est.value, est.radius), est.center_index, est.side)
-    est_row, e_row, sep_row = _tiled_pass(X, 37, 4, 1.0)
+    est_row, e_row = _tiled_pass(X, 37, 4, 1.0)
     out["sweep_row"] = {
         "energy": _bytes(e_row),
-        "separation": (_bytes(sep_row.min_distance, sep_row.gamma_hat), sep_row.pair),
         "discrepancy": (_bytes(est_row.value, est_row.radius), est_row.center_index,
                         est_row.side),
     }
-    assert out["sweep_row"] == {
-        "energy": out["energy"],
-        "separation": (_bytes(sep.min_distance, sep.gamma_hat), sep.pair),
-        "discrepancy": out["discrepancy"],
-    }
+    assert out["sweep_row"] == {"energy": out["energy"], "discrepancy": out["discrepancy"]}
     return out
 
 
